@@ -7,7 +7,8 @@ Subcommands:
   periodic-orbits WORD   logical consequence for a cyclic word over {a, b}
   attractor-sample       non-rigorous orbit CSV for plotting
 
-Exit code is 0 exactly when the requested verdict is true.
+Exit code is 0 exactly when the requested verdict is true, 1 when it is not,
+and 2 for bad input: a malformed flag, h-set file or proof report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from . import __version__, drivers
 from .henon import DivergenceError, eval_point_fast
-from .hsets import load_hsets
+from .hsets import hset_from_definition, load_hsets
 from .report import (
     ProofReport,
     ReportError,
@@ -27,19 +28,36 @@ from .report import (
 )
 
 DEFAULT_REPORT = "proof_report.json"
+# What a malformed input file can raise while it is read and checked.
+_INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError,
+                 ArithmeticError)
+
+
+class _BadInput(Exception):
+    """An input file that cannot be used; `main` exits 2."""
+
+
+def _positive(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _grid(text: str, n: int):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != n or any(p < 1 for p in parts):
+    parts = text.split(",")
+    if len(parts) != n:
         raise argparse.ArgumentTypeError(
             f"expected {n} comma-separated positive integers, got {text!r}"
         )
-    return tuple(parts)
+    return tuple(_positive(p) for p in parts)
 
 
 def _add_common(p):
-    p.add_argument("--map-iterate", type=int, default=4, metavar="N",
+    p.add_argument("--map-iterate", type=_positive, default=4, metavar="N",
                    help="iterate of the base map to certify (default 4)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="parallel worker processes (default: all cores)")
@@ -48,8 +66,9 @@ def _add_common(p):
     p.add_argument("--hsets", default=None, metavar="PATH",
                    help="JSON file with h-set definitions (decimal strings); "
                         "must define sets named 'a' and 'b'")
-    p.add_argument("--max-failures", type=int, default=20,
-                   help="failing witnesses kept per check (default 20)")
+    p.add_argument("--max-failures", type=_positive, default=20,
+                   help="failing boxes listed per check: the first N are kept "
+                        "as witnesses, all are counted (default 20)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,17 +123,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_hset_arg(path):
     if path is None:
         return None
-    hs = load_hsets(path)
+    try:
+        hs = load_hsets(path)
+    except _INPUT_ERRORS as e:
+        raise _BadInput(f"cannot load h-sets from {path}: {type(e).__name__}: {e}")
     missing = {"a", "b"} - set(hs)
     if missing:
-        raise ReportError(f"h-set file must define sets named: {sorted(missing)}")
+        raise _BadInput(f"h-set file must define sets named: {sorted(missing)}")
     return hs
 
 
 def _print_covering(report: ProofReport):
     for c in report.covering:
         status = "PASS" if c.passed else "FAIL"
-        nfail = len(c.condition_I.failures) + len(c.condition_II.failures)
+        nfail = c.condition_I.failed + c.condition_II.failed
         print(f"covering {c.source} => {c.target}: {status} "
               f"(body {c.body_grid}, faces {c.face_grid}, "
               f"{nfail} failing witnesses, {c.wall_time:.1f}s)")
@@ -177,16 +199,17 @@ def cmd_verify_all(args) -> int:
 def cmd_periodic_orbits(args) -> int:
     try:
         report = ProofReport.load(args.report)
+        hsets = {
+            name: hset_from_definition(name, d)
+            for name, d in report.hset_definitions.items()
+        }
     except FileNotFoundError:
         print(f"error: no proof report at {args.report}; run verify-symbolic "
               f"or verify-all first", file=sys.stderr)
         return 1
-    from .hsets import hset_from_definition
-
-    hsets = {
-        name: hset_from_definition(name, d)
-        for name, d in report.hset_definitions.items()
-    }
+    except _INPUT_ERRORS as e:
+        raise _BadInput(f"cannot use proof report {args.report}: "
+                        f"{type(e).__name__}: {e}")
     try:
         print(periodic_orbit_consequence(report, args.word, hsets))
     except ReportError as e:
@@ -227,7 +250,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _BadInput as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field, replace
 
 from .henon import IteratedMap
 from .hsets import HSet
-from .intervals import Box, Interval, IntervalError
-from .linalg import IMatrix, subdivide_box
-
-_UNIT = Box.cube(-1.0, 1.0, 3)
+from .intervals import Box, IntervalError
+from .linalg import subdivide_box
+from .sweep import UNIT, Record, sweep
 
 
 @dataclass(frozen=True)
@@ -63,43 +62,33 @@ class LinearizationA:
 
 
 @dataclass
-class ConditionISummary:
+class ConditionISummary(Record):
     checked: int = 0
     outside_unstable: int = 0
     inside_stable: int = 0
+    failed: int = 0
     failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.failures and self.checked > 0
-
-    def to_dict(self):
-        return {
-            "checked": self.checked,
-            "outside_unstable": self.outside_unstable,
-            "inside_stable": self.inside_stable,
-            "failures": self.failures,
-        }
+        return self.failed == 0 and not self.failures and self.checked > 0
 
 
 @dataclass
-class ConditionIISummary:
+class ConditionIISummary(Record):
     faces: list = field(default_factory=list)  # per-face {axis, sign, checked}
+    failed: int = 0
     failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.failures and bool(self.faces)
-
-    def to_dict(self):
-        return {"faces": self.faces, "failures": self.failures}
+        return self.failed == 0 and not self.failures and bool(self.faces)
 
 
 @dataclass
-class CoveringCertificate:
+class CoveringCertificate(Record):
     source: str
     target: str
-    passed: bool
     condition_I: ConditionISummary
     condition_II: ConditionIISummary
     A: list
@@ -107,42 +96,9 @@ class CoveringCertificate:
     face_grid: tuple
     wall_time: float
 
-    def to_dict(self):
-        return {
-            "source": self.source,
-            "target": self.target,
-            "passed": self.passed,
-            "condition_I": self.condition_I.to_dict(),
-            "condition_II": self.condition_II.to_dict(),
-            "A": self.A,
-            "body_grid": list(self.body_grid),
-            "face_grid": list(self.face_grid),
-            "wall_time": self.wall_time,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "CoveringCertificate":
-        ci = ConditionISummary(
-            checked=d["condition_I"]["checked"],
-            outside_unstable=d["condition_I"]["outside_unstable"],
-            inside_stable=d["condition_I"]["inside_stable"],
-            failures=list(d["condition_I"]["failures"]),
-        )
-        cii = ConditionIISummary(
-            faces=list(d["condition_II"]["faces"]),
-            failures=list(d["condition_II"]["failures"]),
-        )
-        return cls(
-            source=d["source"],
-            target=d["target"],
-            passed=bool(d["passed"]),
-            condition_I=ci,
-            condition_II=cii,
-            A=d["A"],
-            body_grid=tuple(d["body_grid"]),
-            face_grid=tuple(d["face_grid"]),
-            wall_time=d["wall_time"],
-        )
+    @property
+    def passed(self) -> bool:
+        return self.condition_I.passed and self.condition_II.passed
 
 
 def local_map(f: IteratedMap, N0: HSet, N1: HSet) -> IteratedMap:
@@ -162,36 +118,31 @@ def linearization_at_center(f: IteratedMap, N0: HSet, N1: HSet) -> Linearization
 
 
 def _body_accepts(Y: Box, u: int):
-    """Classify a sub-box image: 'unstable', 'stable', or None (fail)."""
+    """Name the disjunct a sub-box image satisfies, or None (fail)."""
     for i in range(u):
         if Y[i].mig() > 1.0:
-            return "unstable"
+            return "outside_unstable"
     if Y[u].mag() < 1.0 and all(Y[i].mag() < 1.0 for i in range(u + 1, Y.dim)):
-        return "stable"
+        return "inside_stable"
     return None
 
 
 def check_condition_I(
     f: IteratedMap, N0: HSet, N1: HSet, cfg: CoveringConfig
 ) -> ConditionISummary:
-    """Spanning check over the body grid; reports every failing sub-box."""
+    """Spanning check over the body grid; lists the first failing sub-boxes."""
     fc = local_map(f, N0, N1)
-    out = ConditionISummary()
-    for index, P in enumerate(subdivide_box(_UNIT, cfg.body_grid)):
+
+    def body(P):
         Y = fc.eval(P)
-        verdict = _body_accepts(Y, N0.u)
-        out.checked += 1
-        if verdict == "unstable":
-            out.outside_unstable += 1
-        elif verdict == "stable":
-            out.inside_stable += 1
-        elif len(out.failures) < cfg.max_failures_reported:
-            out.failures.append(
-                {"index": index, "box": P.endpoints(), "image": Y.endpoints()}
-            )
-        else:
-            out.failures.append({"index": index})
-    return out
+        return _body_accepts(Y, N0.u) or {"box": P.endpoints(), "image": Y.endpoints()}
+
+    counts, failures = sweep(
+        subdivide_box(UNIT, cfg.body_grid), body, cfg.max_failures_reported
+    )
+    return ConditionISummary(
+        checked=sum(counts.values()), failures=failures, **counts
+    )
 
 
 def check_condition_II(
@@ -201,40 +152,40 @@ def check_condition_II(
     A: LinearizationA,
     cfg: CoveringConfig,
 ) -> ConditionIISummary:
-    """Exit-face check: hull of map image and linear image clears the target."""
+    """Exit-face check: hull of map image and linear image clears the target.
+
+    One witness cap is shared by all exit faces.
+    """
     fc = local_map(f, N0, N1)
     u = N0.u
+
+    def exits(F):
+        Ya = A.apply(F.coords[:u])
+        Yf = fc.eval(F)
+        if any(Yf[i].hull(Ya[i]).mig() > 1.0 for i in range(u)):
+            return "exits"
+        return {
+            "box": F.endpoints(),
+            "image": Yf.endpoints(),
+            "linear_image": [[y.lo, y.hi] for y in Ya],
+        }
+
     out = ConditionIISummary()
     for face in N0.exit_faces():
-        checked = 0
-        free = face.free_axes()
         grid = [1] * face.dim
-        for axis, m in zip(free, cfg.face_grid):
+        for axis, m in zip(face.free_axes(), cfg.face_grid):
             grid[axis] = m
-        for index, F in enumerate(subdivide_box(face.extent(), grid)):
-            Ya = A.apply(F.coords[:u])
-            Yf = fc.eval(F)
-            checked += 1
-            ok = any(Yf[i].hull(Ya[i]).mig() > 1.0 for i in range(u))
-            if ok:
-                continue
-            if len(out.failures) < cfg.max_failures_reported:
-                out.failures.append(
-                    {
-                        "face_axis": face.axis,
-                        "face_sign": face.sign,
-                        "index": index,
-                        "box": F.endpoints(),
-                        "image": Yf.endpoints(),
-                        "linear_image": [[y.lo, y.hi] for y in Ya],
-                    }
-                )
-            else:
-                out.failures.append(
-                    {"face_axis": face.axis, "face_sign": face.sign, "index": index}
-                )
+        counts, failures = sweep(
+            subdivide_box(face.extent(), grid),
+            exits,
+            cfg.max_failures_reported - len(out.failures),
+        )
+        out.failed += counts["failed"]
+        out.failures += [
+            {"face_axis": face.axis, "face_sign": face.sign, **w} for w in failures
+        ]
         out.faces.append(
-            {"axis": face.axis, "sign": face.sign, "checked": checked}
+            {"axis": face.axis, "sign": face.sign, "checked": sum(counts.values())}
         )
     return out
 
@@ -251,7 +202,6 @@ def verify_covering(
     return CoveringCertificate(
         source=N0.name,
         target=N1.name,
-        passed=ci.passed and cii.passed,
         condition_I=ci,
         condition_II=cii,
         A=A.as_lists(),

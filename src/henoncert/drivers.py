@@ -34,21 +34,11 @@ def default_hsets(hsets: dict | None = None) -> dict:
     return {"a": a, "b": b}
 
 
-def _covering_task(args):
-    f, n0, n1, cfg = args
-    return verify_covering(f, n0, n1, cfg)
-
-
-def _map_pair_task(args):
-    label, f, grid, Q, max_failures = args
-    return check_map_pair(label, f, grid, Q, max_failures)
-
-
-def _run_tasks(task_fn, arglists, workers: int):
+def _run_tasks(fn, arglists, workers: int):
     if workers <= 1 or len(arglists) <= 1:
-        return [task_fn(a) for a in arglists]
+        return [fn(*args) for args in arglists]
     with ProcessPoolExecutor(max_workers=min(workers, len(arglists))) as pool:
-        return list(pool.map(task_fn, arglists))
+        return list(pool.map(fn, *zip(*arglists)))
 
 
 def run_symbolic(
@@ -68,7 +58,7 @@ def run_symbolic(
         max_failures_reported=max_failures_reported,
     )
     tasks = [(f, hs[i], hs[j], cfg) for i, j in COVERING_CHAIN]
-    return _run_tasks(_covering_task, tasks, workers)
+    return _run_tasks(verify_covering, tasks, workers)
 
 
 def run_hyperbolicity(
@@ -88,18 +78,32 @@ def run_hyperbolicity(
         (label, fp, tuple(grid), Q, max_failures_reported)
         for label, fp in pairs.items()
     ]
-    outcomes = _run_tasks(_map_pair_task, tasks, workers)
+    outcomes = _run_tasks(check_map_pair, tasks, workers)
     return HyperbolicityCertificate(
         grid=tuple(grid), outcomes=outcomes, wall_time=time.monotonic() - t0
     )
 
 
-def _report_skeleton(iterate: int, hsets: dict, workers: int) -> ProofReport:
-    return ProofReport(
+def _report(iterate, hsets, workers, max_failures_reported,
+            body_grid=None, face_grid=None, hyp_grid=None) -> ProofReport:
+    """One report: the covering chain if `body_grid`, the cone check if `hyp_grid`."""
+    hs = default_hsets(hsets)
+    t0 = time.monotonic()
+    report = ProofReport(
         map_params={"a": "1.76", "b": "0.1", "iterate": iterate},
-        hset_definitions={name: h.to_definition() for name, h in hsets.items()},
+        hset_definitions={name: h.to_definition() for name, h in hs.items()},
         workers=workers,
     )
+    if body_grid is not None:
+        report.covering = run_symbolic(
+            body_grid, face_grid, iterate, hs, workers, max_failures_reported
+        )
+    if hyp_grid is not None:
+        report.hyperbolicity = run_hyperbolicity(
+            hyp_grid, iterate, hs, workers, max_failures_reported
+        )
+    report.total_runtime = time.monotonic() - t0
+    return report
 
 
 def run_all(
@@ -112,17 +116,8 @@ def run_all(
     max_failures_reported: int = 20,
 ) -> ProofReport:
     """Both theorems end to end; the full report."""
-    hs = default_hsets(hsets)
-    t0 = time.monotonic()
-    report = _report_skeleton(iterate, hs, workers)
-    report.covering = run_symbolic(
-        body_grid, face_grid, iterate, hs, workers, max_failures_reported
-    )
-    report.hyperbolicity = run_hyperbolicity(
-        hyp_grid, iterate, hs, workers, max_failures_reported
-    )
-    report.total_runtime = time.monotonic() - t0
-    return report
+    return _report(iterate, hsets, workers, max_failures_reported,
+                   body_grid, face_grid, hyp_grid)
 
 
 def run_symbolic_report(
@@ -133,14 +128,8 @@ def run_symbolic_report(
     workers: int = 1,
     max_failures_reported: int = 20,
 ) -> ProofReport:
-    hs = default_hsets(hsets)
-    t0 = time.monotonic()
-    report = _report_skeleton(iterate, hs, workers)
-    report.covering = run_symbolic(
-        body_grid, face_grid, iterate, hs, workers, max_failures_reported
-    )
-    report.total_runtime = time.monotonic() - t0
-    return report
+    return _report(iterate, hsets, workers, max_failures_reported,
+                   body_grid, face_grid)
 
 
 def run_hyperbolicity_report(
@@ -150,11 +139,5 @@ def run_hyperbolicity_report(
     workers: int = 1,
     max_failures_reported: int = 20,
 ) -> ProofReport:
-    hs = default_hsets(hsets)
-    t0 = time.monotonic()
-    report = _report_skeleton(iterate, hs, workers)
-    report.hyperbolicity = run_hyperbolicity(
-        hyp_grid, iterate, hs, workers, max_failures_reported
-    )
-    report.total_runtime = time.monotonic() - t0
-    return report
+    return _report(iterate, hsets, workers, max_failures_reported,
+                   hyp_grid=hyp_grid)

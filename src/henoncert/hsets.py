@@ -149,6 +149,9 @@ def make_paper_hsets():
 
 
 def hset_from_definition(name: str, d: dict) -> HSet:
+    unknown = set(d) - {"center", "basis", "u", "s"}
+    if unknown:
+        raise IntervalError(f"h-set {name!r}: unknown keys {sorted(unknown)}")
     return make_hset(name, d["center"], d["basis"], u=int(d.get("u", 2)), s=int(d.get("s", 1)))
 
 

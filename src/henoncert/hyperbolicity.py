@@ -13,10 +13,9 @@ import time
 from dataclasses import dataclass, field
 
 from .henon import IteratedMap
-from .intervals import Box, Interval, IntervalError
+from .intervals import IntervalError
 from .linalg import IMatrix, det, is_positive_definite, subdivide_box
-
-_UNIT = Box.cube(-1.0, 1.0, 3)
+from .sweep import UNIT, Record, sweep
 
 
 def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
@@ -37,7 +36,7 @@ def _minor_lower_bounds(S: IMatrix):
 
 
 @dataclass
-class MapPairOutcome:
+class MapPairOutcome(Record):
     label: str
     skipped_disjoint: int = 0
     positive_definite: int = 0
@@ -46,53 +45,19 @@ class MapPairOutcome:
 
     @property
     def passed(self) -> bool:
-        return self.failed == 0
-
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "skipped_disjoint": self.skipped_disjoint,
-            "positive_definite": self.positive_definite,
-            "failed": self.failed,
-            "failures": self.failures,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            label=d["label"],
-            skipped_disjoint=d["skipped_disjoint"],
-            positive_definite=d["positive_definite"],
-            failed=d["failed"],
-            failures=list(d["failures"]),
-        )
+        checked = self.skipped_disjoint + self.positive_definite
+        return self.failed == 0 and not self.failures and checked > 0
 
 
 @dataclass
-class HyperbolicityCertificate:
+class HyperbolicityCertificate(Record):
     grid: tuple
-    outcomes: list  # MapPairOutcome per chart pair, in input order
+    outcomes: list[MapPairOutcome]  # per chart pair, in input order
     wall_time: float
 
     @property
     def passed(self) -> bool:
-        return all(o.passed for o in self.outcomes)
-
-    def to_dict(self):
-        return {
-            "grid": list(self.grid),
-            "passed": self.passed,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "wall_time": self.wall_time,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            grid=tuple(d["grid"]),
-            outcomes=[MapPairOutcome.from_dict(o) for o in d["outcomes"]],
-            wall_time=d["wall_time"],
-        )
+        return bool(self.outcomes) and all(o.passed for o in self.outcomes)
 
 
 def check_map_pair(
@@ -103,27 +68,19 @@ def check_map_pair(
     max_failures_reported: int = 20,
 ) -> MapPairOutcome:
     """Skip-or-certify sweep of one chart-conjugated map over the grid."""
-    out = MapPairOutcome(label=label)
-    for index, Bi in enumerate(subdivide_box(_UNIT, grid)):
-        if f.eval(Bi).is_disjoint(_UNIT):
-            out.skipped_disjoint += 1
-            continue
+
+    def skip_or_pd(Bi):
+        if f.eval(Bi).is_disjoint(UNIT):
+            return "skipped_disjoint"
         S = cone_matrix(f.jacobian(Bi), Q)
         if is_positive_definite(S):
-            out.positive_definite += 1
-            continue
-        out.failed += 1
-        if len(out.failures) < max_failures_reported:
-            out.failures.append(
-                {
-                    "index": index,
-                    "box": Bi.endpoints(),
-                    "minor_lower_bounds": _minor_lower_bounds(S),
-                }
-            )
-        else:
-            out.failures.append({"index": index})
-    return out
+            return "positive_definite"
+        return {"box": Bi.endpoints(), "minor_lower_bounds": _minor_lower_bounds(S)}
+
+    counts, failures = sweep(
+        subdivide_box(UNIT, grid), skip_or_pd, max_failures_reported
+    )
+    return MapPairOutcome(label=label, failures=failures, **counts)
 
 
 def check_strong_hyperbolicity(

@@ -82,8 +82,8 @@ class ProofReport:
                 workers=d.get("workers", 1),
                 version=d.get("artifact_version", __version__),
             )
-        except (KeyError, TypeError) as e:
-            raise ReportError(f"malformed proof report: {e}") from e
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ReportError(f"malformed proof report: {e!r}") from e
 
     @classmethod
     def from_json(cls, text: str) -> "ProofReport":

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from henoncert import (
@@ -63,6 +65,10 @@ class TestConditionI:
         out = check_condition_I(f, N, N, SMALL)
         assert not out.passed
         assert out.failures
+        # the cap keeps the first witnesses and still counts every failure
+        full = check_condition_I(f, N, N, replace(SMALL, max_failures_reported=10**6))
+        assert out.failed == len(full.failures) > len(out.failures) == 10
+        assert out.failures == full.failures[:10]
 
 
 class TestConditionII:
@@ -80,6 +86,11 @@ class TestConditionII:
         A = LinearizationA(entries=((1.0, 0.0), (0.0, 1.0)))
         out = check_condition_II(f, N, N, A, SMALL)
         assert not out.passed
+        # one cap shared by the four exit faces, which all fail
+        full = check_condition_II(f, N, N, A, replace(SMALL, max_failures_reported=10**6))
+        assert out.failed == len(full.failures) == 4 * 9
+        assert out.failures == full.failures[:10]
+        assert out.faces == full.faces
 
 
 class TestVerifyCovering:

@@ -75,6 +75,11 @@ class TestToyMaps:
         cert = check_strong_hyperbolicity({"toy": f}, grid=(2, 2, 2))
         assert not cert.passed
         assert cert.outcomes[0].failed == 8
+        capped = check_strong_hyperbolicity(
+            {"toy": f}, grid=(2, 2, 2), max_failures_reported=3
+        )
+        assert capped.outcomes[0].failed == 8
+        assert capped.outcomes[0].failures == cert.outcomes[0].failures[:3]
 
 
 class TestPaperMaps:

@@ -57,6 +57,12 @@ class TestProofReport:
     def test_malformed_report(self):
         with pytest.raises(ReportError):
             ProofReport.from_dict({"nonsense": 1})
+        # a report written before failures were counted never loads as passing
+        for check in ("condition_I", "condition_II"):
+            d = _toy_report().to_dict()
+            del d["covering"][0][check]["failed"]
+            with pytest.raises(ReportError):
+                ProofReport.from_dict(d)
 
 
 class TestConsequences:
@@ -123,6 +129,76 @@ class TestCLI:
         _toy_report(passed=False).save(path)
         rc = main(["periodic-orbits", "ab", "--report", str(path)])
         assert rc == 1
+        # reports that claim more than they contain: `passed` is derived
+        for doctor in _overclaims:
+            d = _toy_report().to_dict()
+            doctor(d["covering"][1])
+            assert d["covering"][1]["passed"] and d["covering_passed"]
+            path.write_text(json.dumps(d))
+            assert not ProofReport.load(path).covering_passed
+            assert main(["periodic-orbits", "ab", "--report", str(path)]) == 1
+
+    def test_witness_lists_are_capped(self, tmp_path):
+        grids = dict(body_grid=(4, 4, 4), face_grid=(2, 2), hyp_grid=(4, 4, 4))
+        full = run_all(**grids, max_failures_reported=10**6).to_dict()
+        path = tmp_path / "report.json"
+        rc = main([
+            "verify-all", "--body-grid", "4,4,4", "--face-grid", "2,2",
+            "--hyp-grid", "4,4,4", "--workers", "1", "--max-failures", "3",
+            "--report", str(path),
+        ])
+        assert rc == 1
+        capped = json.loads(path.read_text())
+        checks = [
+            (c[k], f[k])
+            for c, f in zip(capped["covering"], full["covering"])
+            for k in ("condition_I", "condition_II")
+        ] + list(zip(capped["hyperbolicity"]["outcomes"],
+                     full["hyperbolicity"]["outcomes"]))
+        assert any(len(f["failures"]) > 3 for _, f in checks)
+        for c, f in checks:
+            assert c["failures"] == f["failures"][:3]
+            assert c["failed"] == len(f["failures"])
+
+    @pytest.mark.parametrize("flag", ["--max-failures", "--map-iterate"])
+    def test_non_positive_count_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["verify-hyperbolicity", flag, "0"])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("case", [
+        "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
+    ])
+    def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
+        a, b = make_paper_hsets()
+        defs = {"a": a.to_definition(), "b": b.to_definition()}
+        if case == "missing-b":
+            del defs["b"]
+        elif case == "singular-basis":
+            defs["a"]["basis"] = [["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+        elif case == "unknown-key":
+            defs["a"]["unstable"] = 1
+        hpath = tmp_path / "hsets.json"
+        if case != "unreadable":
+            hpath.write_text("{a: 1" if case == "not-json" else json.dumps(defs))
+        rc = main([
+            "verify-hyperbolicity", "--hyp-grid", "1,1,1", "--workers", "1",
+            "--hsets", str(hpath), "--report", str(tmp_path / "report.json"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["not-json", "malformed", "pre-change"])
+    def test_bad_report_exits_2(self, case, tmp_path, capsys):
+        d = _toy_report().to_dict()
+        for c in d["covering"]:  # as written before failures were counted
+            del c["condition_I"]["failed"], c["condition_II"]["failed"]
+        path = tmp_path / "report.json"
+        path.write_text({"not-json": "{", "malformed": '{"covering": 1}',
+                         "pre-change": json.dumps(d)}[case])
+        rc = main(["periodic-orbits", "ab", "--report", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
 
     def test_verify_all_small_grids_fails_but_reports(self, tmp_path, capsys):
         # grids this coarse cannot certify anything; exit code must be nonzero
@@ -171,6 +247,17 @@ class TestDriverParallelism:
         d1, d2 = r1.to_dict(), r2.to_dict()
         _strip_timing(d1), _strip_timing(d2)
         assert d1 == d2
+
+
+def _failed_without_witness(c):
+    c["condition_I"]["failed"] = 4
+
+
+def _witness_without_failure(c):
+    c["condition_II"]["failures"] = [{"face_axis": 0, "face_sign": 1.0, "index": 0}]
+
+
+_overclaims = (_failed_without_witness, _witness_without_failure)
 
 
 def _strip_timing(d):
