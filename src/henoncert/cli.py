@@ -18,16 +18,30 @@ import os
 import sys
 
 from . import __version__, drivers
+from .covering import BODY_GRID, FACE_GRID
 from .henon import DivergenceError, eval_point_fast
 from .hsets import hset_from_definition, load_hsets
+from .hyperbolicity import HYP_GRID
 from .report import (
     ProofReport,
     ReportError,
     periodic_orbit_consequence,
     symbolic_dynamics_statement,
 )
+from .sweep import MAX_WITNESSES
 
 DEFAULT_REPORT = "proof_report.json"
+_GRIDS = {"body_grid": (BODY_GRID, "K,K,K"), "face_grid": (FACE_GRID, "M,M"),
+          "hyp_grid": (HYP_GRID, "K,K,K")}  # default and metavar per grid flag
+# Verify subcommand -> (help, its grids, the `drivers` function it runs, by
+# name: looked up on each run, so a wrapped driver is the one called).
+_VERIFY = {
+    "verify-symbolic": ("certify the four covering relations",
+                        ("body_grid", "face_grid"), "run_symbolic_report"),
+    "verify-hyperbolicity": ("certify the cone condition on the chart cubes",
+                             ("hyp_grid",), "run_hyperbolicity_report"),
+    "verify-all": ("run both certifications", tuple(_GRIDS), "run_all"),
+}
 # What a malformed input file can raise while it is read and checked.
 _INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError,
                  ArithmeticError)
@@ -47,28 +61,28 @@ def _positive(text: str) -> int:
     return n
 
 
-def _grid(text: str, n: int):
+def _values(text: str, n: int, item=_positive):
+    """Exactly `n` comma-separated values, each parsed by `item`."""
     parts = text.split(",")
     if len(parts) != n:
         raise argparse.ArgumentTypeError(
-            f"expected {n} comma-separated positive integers, got {text!r}"
-        )
-    return tuple(_positive(p) for p in parts)
+            f"expected {n} comma-separated values, got {text!r}")
+    return tuple(item(p) for p in parts)
 
 
 def _add_common(p):
     p.add_argument("--map-iterate", type=_positive, default=4, metavar="N",
                    help="iterate of the base map to certify (default 4)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--workers", type=_positive, default=os.cpu_count() or 1,
                    help="parallel worker processes (default: all cores)")
     p.add_argument("--report", default=DEFAULT_REPORT, metavar="PATH",
                    help="where to write the JSON proof report")
     p.add_argument("--hsets", default=None, metavar="PATH",
                    help="JSON file with h-set definitions (decimal strings); "
                         "must define sets named 'a' and 'b'")
-    p.add_argument("--max-failures", type=_positive, default=20,
+    p.add_argument("--max-failures", type=_positive, default=MAX_WITNESSES,
                    help="failing boxes listed per check: the first N are kept "
-                        "as witnesses, all are counted (default 20)")
+                        f"as witnesses, all are counted (default {MAX_WITNESSES})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,28 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-symbolic",
-                       help="certify the four covering relations")
-    p.add_argument("--body-grid", type=lambda s: _grid(s, 3),
-                   default=(20, 20, 20), metavar="K,K,K")
-    p.add_argument("--face-grid", type=lambda s: _grid(s, 2),
-                   default=(10, 10), metavar="M,M")
-    _add_common(p)
-
-    p = sub.add_parser("verify-hyperbolicity",
-                       help="certify the cone condition on the chart cubes")
-    p.add_argument("--hyp-grid", type=lambda s: _grid(s, 3),
-                   default=(25, 25, 25), metavar="K,K,K")
-    _add_common(p)
-
-    p = sub.add_parser("verify-all", help="run both certifications")
-    p.add_argument("--body-grid", type=lambda s: _grid(s, 3),
-                   default=(20, 20, 20), metavar="K,K,K")
-    p.add_argument("--face-grid", type=lambda s: _grid(s, 2),
-                   default=(10, 10), metavar="M,M")
-    p.add_argument("--hyp-grid", type=lambda s: _grid(s, 3),
-                   default=(25, 25, 25), metavar="K,K,K")
-    _add_common(p)
+    for command, (help_, grids, _) in _VERIFY.items():
+        p = sub.add_parser(command, help=help_)
+        for dest in grids:
+            default, metavar = _GRIDS[dest]
+            p.add_argument("--" + dest.replace("_", "-"), default=default,
+                           type=lambda s, n=len(default): _values(s, n),
+                           metavar=metavar)
+        _add_common(p)
 
     p = sub.add_parser("periodic-orbits",
                        help="state the periodic-orbit consequence of a "
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attractor-sample",
                        help="NON-RIGOROUS float orbit sample as CSV")
-    p.add_argument("--seed", type=lambda s: tuple(float(v) for v in s.split(",")),
+    p.add_argument("--seed", type=lambda s: _values(s, 3, float),
                    default=(0.5, 0.5, 0.5), metavar="X,Y,Z")
     p.add_argument("--transient", type=int, default=1000)
     p.add_argument("--count", type=int, default=100000)
@@ -120,16 +120,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_hset_arg(path):
-    if path is None:
-        return None
+def _hsets(source: str, build):
+    """The h-sets `build()` returns, if they define `a` and `b` with one (u, s)."""
     try:
-        hs = load_hsets(path)
+        hs = build()
     except _INPUT_ERRORS as e:
-        raise _BadInput(f"cannot load h-sets from {path}: {type(e).__name__}: {e}")
+        raise _BadInput(f"cannot use h-sets from {source}: {type(e).__name__}: {e}")
     missing = {"a", "b"} - set(hs)
     if missing:
-        raise _BadInput(f"h-set file must define sets named: {sorted(missing)}")
+        raise _BadInput(f"h-sets from {source} must define sets named: "
+                        f"{sorted(missing)}")
+    dims = {name: (hs[name].u, hs[name].s) for name in "ab"}
+    if dims["a"] != dims["b"]:
+        raise _BadInput(f"h-sets from {source} differ in (u, s): {dims}")
     return hs
 
 
@@ -157,52 +160,32 @@ def _print_hyperbolicity(report: ProofReport):
               f"hence uniformly hyperbolic on the invariant part of a union b.")
 
 
-def _finish(report: ProofReport, path, ok: bool) -> int:
-    report.save(path)
-    print(f"report written to {path}")
+def cmd_verify(args) -> int:
+    """verify-symbolic, verify-hyperbolicity and verify-all."""
+    _, grids, run = _VERIFY[args.command]
+    hsets = None
+    if args.hsets is not None:
+        hsets = _hsets(args.hsets, lambda: load_hsets(args.hsets))
+    report = getattr(drivers, run)(
+        **{g: getattr(args, g) for g in grids}, iterate=args.map_iterate,
+        hsets=hsets, workers=args.workers, max_failures_reported=args.max_failures,
+    )
+    ok = True
+    if "body_grid" in grids:
+        _print_covering(report)
+        ok = report.covering_passed
+    if "hyp_grid" in grids:
+        _print_hyperbolicity(report)
+        ok = ok and report.hyperbolicity.passed
+    report.save(args.report)
+    print(f"report written to {args.report}")
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
-
-
-def cmd_verify_symbolic(args) -> int:
-    report = drivers.run_symbolic_report(
-        body_grid=args.body_grid, face_grid=args.face_grid,
-        iterate=args.map_iterate, hsets=_load_hset_arg(args.hsets),
-        workers=args.workers, max_failures_reported=args.max_failures,
-    )
-    _print_covering(report)
-    return _finish(report, args.report, report.covering_passed)
-
-
-def cmd_verify_hyperbolicity(args) -> int:
-    report = drivers.run_hyperbolicity_report(
-        hyp_grid=args.hyp_grid, iterate=args.map_iterate,
-        hsets=_load_hset_arg(args.hsets), workers=args.workers,
-        max_failures_reported=args.max_failures,
-    )
-    _print_hyperbolicity(report)
-    return _finish(report, args.report, report.hyperbolicity.passed)
-
-
-def cmd_verify_all(args) -> int:
-    report = drivers.run_all(
-        body_grid=args.body_grid, face_grid=args.face_grid,
-        hyp_grid=args.hyp_grid, iterate=args.map_iterate,
-        hsets=_load_hset_arg(args.hsets), workers=args.workers,
-        max_failures_reported=args.max_failures,
-    )
-    _print_covering(report)
-    _print_hyperbolicity(report)
-    return _finish(report, args.report, report.verdict)
 
 
 def cmd_periodic_orbits(args) -> int:
     try:
         report = ProofReport.load(args.report)
-        hsets = {
-            name: hset_from_definition(name, d)
-            for name, d in report.hset_definitions.items()
-        }
     except FileNotFoundError:
         print(f"error: no proof report at {args.report}; run verify-symbolic "
               f"or verify-all first", file=sys.stderr)
@@ -210,6 +193,10 @@ def cmd_periodic_orbits(args) -> int:
     except _INPUT_ERRORS as e:
         raise _BadInput(f"cannot use proof report {args.report}: "
                         f"{type(e).__name__}: {e}")
+    hsets = _hsets(f"proof report {args.report}", lambda: {
+        name: hset_from_definition(name, d)
+        for name, d in report.hset_definitions.items()
+    })
     try:
         print(periodic_orbit_consequence(report, args.word, hsets))
     except ReportError as e:
@@ -240,9 +227,7 @@ def cmd_attractor_sample(args) -> int:
 
 
 _COMMANDS = {
-    "verify-symbolic": cmd_verify_symbolic,
-    "verify-hyperbolicity": cmd_verify_hyperbolicity,
-    "verify-all": cmd_verify_all,
+    **dict.fromkeys(_VERIFY, cmd_verify),
     "periodic-orbits": cmd_periodic_orbits,
     "attractor-sample": cmd_attractor_sample,
 }

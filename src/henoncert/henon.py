@@ -125,6 +125,9 @@ class IteratedMap:
             raise IntervalError(f"iterate count must be >= 1, got {self.k}")
 
     def conjugated(self, source, target) -> "IteratedMap":
+        """C_target o f o C_source^-1; the charts must share (u, s)."""
+        if (source.u, source.s) != (target.u, target.s):
+            raise IntervalError("charts must have matching exit/entry dimensions")
         return IteratedMap(self.base, self.k, chart_pre=source, chart_post=target)
 
     def orbit(self, X: Box):

@@ -13,9 +13,15 @@ import time
 from dataclasses import dataclass, field
 
 from .henon import IteratedMap
-from .intervals import IntervalError
-from .linalg import IMatrix, det, is_positive_definite, subdivide_box
-from .sweep import UNIT, Record, sweep
+from .linalg import (
+    IMatrix,
+    is_positive_definite,
+    leading_minor_lower_bounds,
+    subdivide_box,
+)
+from .sweep import MAX_WITNESSES, UNIT, Record, fan_out, sweep
+
+HYP_GRID = (25, 25, 25)  # shipped cone-check grid
 
 
 def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
@@ -26,13 +32,6 @@ def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
 def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
     """Interval enclosure of Df^T Q Df - Q."""
     return Df.transpose() @ Q @ Df - Q
-
-
-def _minor_lower_bounds(S: IMatrix):
-    return [
-        det(IMatrix([row[:k] for row in S.rows[:k]])).lo
-        for k in range(1, S.nrows + 1)
-    ]
 
 
 @dataclass
@@ -65,7 +64,7 @@ def check_map_pair(
     f: IteratedMap,
     grid,
     Q: IMatrix,
-    max_failures_reported: int = 20,
+    max_failures_reported: int = MAX_WITNESSES,
 ) -> MapPairOutcome:
     """Skip-or-certify sweep of one chart-conjugated map over the grid."""
 
@@ -75,7 +74,10 @@ def check_map_pair(
         S = cone_matrix(f.jacobian(Bi), Q)
         if is_positive_definite(S):
             return "positive_definite"
-        return {"box": Bi.endpoints(), "minor_lower_bounds": _minor_lower_bounds(S)}
+        return {
+            "box": Bi.endpoints(),
+            "minor_lower_bounds": list(leading_minor_lower_bounds(S)),
+        }
 
     counts, failures = sweep(
         subdivide_box(UNIT, grid), skip_or_pd, max_failures_reported
@@ -85,24 +87,26 @@ def check_map_pair(
 
 def check_strong_hyperbolicity(
     maps,
-    grid=(25, 25, 25),
+    grid=HYP_GRID,
     Q: IMatrix | None = None,
-    max_failures_reported: int = 20,
+    max_failures_reported: int = MAX_WITNESSES,
+    workers: int = 1,
 ) -> HyperbolicityCertificate:
     """Run the cone condition for every (label, chart-conjugated map) pair.
 
     `maps` is an ordered mapping label -> IteratedMap with charts attached;
-    the shipped drivers pass the four pairs aa, ab, ba, bb.
+    the shipped drivers pass the four pairs aa, ab, ba, bb.  `workers` is the
+    most processes the pairs are spread over (1: all in this process); the
+    outcomes are the same, in the order of `maps`, for any count.
     """
     grid = tuple(int(g) for g in grid)
-    if any(g < 1 for g in grid):
-        raise IntervalError(f"grid counts must be >= 1, got {grid}")
     Q = Q if Q is not None else cone_quadratic_form()
     t0 = time.monotonic()
-    outcomes = [
-        check_map_pair(label, f, grid, Q, max_failures_reported)
-        for label, f in maps.items()
-    ]
+    outcomes = fan_out(
+        check_map_pair,
+        [(label, f, grid, Q, max_failures_reported) for label, f in maps.items()],
+        workers,
+    )
     return HyperbolicityCertificate(
         grid=grid, outcomes=outcomes, wall_time=time.monotonic() - t0
     )

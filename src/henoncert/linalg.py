@@ -179,6 +179,15 @@ def _reciprocal(x: Interval) -> Interval:
     return Interval(_down(1.0 / x.hi), _up(1.0 / x.lo))
 
 
+def leading_minor_lower_bounds(S: IMatrix):
+    """Lower bounds of the leading principal minors of S, k = 1..n, lazily."""
+    n = S.nrows
+    if n != S.ncols:
+        raise IntervalError("leading minors require a square matrix")
+    for k in range(1, n + 1):
+        yield det(IMatrix([row[:k] for row in S.rows[:k]])).lo
+
+
 def is_positive_definite(S: IMatrix) -> bool:
     """Sylvester's criterion on an interval enclosure of symmetric matrices.
 
@@ -187,14 +196,7 @@ def is_positive_definite(S: IMatrix) -> bool:
     symmetric member matrix.  False means inconclusive, never a false
     positive.
     """
-    n = S.nrows
-    if n != S.ncols:
-        raise IntervalError("positive-definiteness requires a square matrix")
-    for k in range(1, n + 1):
-        lead = IMatrix([row[:k] for row in S.rows[:k]])
-        if det(lead).lo <= 0.0:
-            return False
-    return True
+    return all(lo > 0.0 for lo in leading_minor_lower_bounds(S))
 
 
 def subdivide_box(X: Box, grid) -> "itertools.product":

@@ -1,4 +1,5 @@
-"""The one sweep behind all three per-box checks, and their shared record type.
+"""The one sweep behind all three per-box checks, their shared record type,
+and the one fan-out of independent checks over worker processes.
 
 A check is a predicate on one sub-box of the local cube B = [-1,1]^3: it
 returns the name of the way the box was accepted, or a dict describing why it
@@ -9,12 +10,14 @@ stays bounded whatever the grid.
 from __future__ import annotations
 
 from collections import Counter
+from concurrent import futures
 from dataclasses import asdict, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .intervals import Box
 
 UNIT = Box.cube(-1.0, 1.0, 3)
+MAX_WITNESSES = 20  # shipped cap on the failing boxes each check lists
 
 
 def sweep(boxes, predicate, max_witnesses: int):
@@ -33,6 +36,14 @@ def sweep(boxes, predicate, max_witnesses: int):
         if len(witnesses) < max_witnesses:
             witnesses.append({"index": index, **verdict})
     return counts, witnesses
+
+
+def fan_out(fn, arglists, workers: int):
+    """[fn(*args) for args in arglists], spread over up to `workers` processes."""
+    if workers <= 1 or len(arglists) <= 1:
+        return [fn(*args) for args in arglists]
+    with futures.ProcessPoolExecutor(max_workers=min(workers, len(arglists))) as pool:
+        return list(pool.map(fn, *zip(*arglists)))
 
 
 def _load(hint, value):

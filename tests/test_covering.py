@@ -15,6 +15,7 @@ from henoncert import (
 )
 from henoncert.covering import LinearizationA, local_map
 from henoncert.hsets import make_hset
+from henoncert.intervals import IntervalError
 
 UNIT_BASIS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
@@ -123,6 +124,18 @@ class TestVerifyCovering:
         d2 = verify_covering(f, N, N, SMALL).to_dict()
         d1.pop("wall_time"), d2.pop("wall_time")
         assert d1 == d2
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("grids", [
+        dict(body_grid=(0, 1, 1)), dict(face_grid=(1, 0)),
+    ])
+    def test_zero_count_raises(self, grids):
+        N = unit_hset()
+        f = IteratedMap(LinearMap.scaling(3, 3, 0.25))
+        cfg = CoveringConfig(**{"body_grid": (1, 1, 1), "face_grid": (1, 1), **grids})
+        with pytest.raises(IntervalError):
+            verify_covering(f, N, N, cfg)
 
 
 class TestWitnessValidity:

@@ -12,8 +12,18 @@ from henoncert import (
     cone_quadratic_form,
     paper_map_pairs,
 )
+from henoncert.drivers import run_hyperbolicity
+from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, make_hset
 from henoncert.hyperbolicity import check_map_pair
-from henoncert.intervals import Interval
+from henoncert.intervals import Interval, IntervalError
+
+
+def _hsets_u1_s2():
+    """The shipped charts read with one exit and two entry directions."""
+    return {
+        name: make_hset(name, d["center"], d["basis"], u=1, s=2)
+        for name, d in (("a", HSET_A_DEFINITION), ("b", HSET_B_DEFINITION))
+    }
 
 
 class TestConeMatrix:
@@ -91,6 +101,20 @@ class TestPaperMaps:
         pairs = paper_map_pairs(h4, paper_hsets)
         out = check_map_pair("aa", pairs["aa"], (10, 10, 10), cone_quadratic_form())
         assert out.skipped_disjoint > 0
+
+    def test_pairs_need_matching_dims(self, paper_hsets, h4):
+        mixed = {"a": paper_hsets["a"], "b": _hsets_u1_s2()["b"]}
+        with pytest.raises(IntervalError):
+            paper_map_pairs(h4, mixed)
+
+    def test_cone_form_follows_hsets(self, h4):
+        hs = _hsets_u1_s2()
+        got = run_hyperbolicity((2, 2, 2), hsets=hs).to_dict()
+        want = check_strong_hyperbolicity(
+            paper_map_pairs(h4, hs), (2, 2, 2), cone_quadratic_form(1, 2)
+        ).to_dict()
+        got.pop("wall_time"), want.pop("wall_time")
+        assert got == want
 
     def test_whole_box_check_fails(self, paper_hsets, h4):
         # without subdivision the Jacobian enclosure is far too wide

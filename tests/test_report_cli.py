@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import henoncert
 from henoncert import (
     IteratedMap,
     LinearMap,
@@ -103,6 +108,13 @@ class TestCLI:
         assert rc == 0
         assert out.read_text().splitlines() == ["# NON-RIGOROUS SAMPLE", "x,y,z"]
 
+    @pytest.mark.parametrize("seed", ["1,2", "1,2,3,4"])
+    def test_attractor_seed_needs_three_numbers(self, seed, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["attractor-sample", "--seed", seed, "--count", "1",
+                  "--out", str(tmp_path / "orbit.csv")])
+        assert e.value.code == 2
+
     def test_attractor_sample_divergence(self, tmp_path, capsys):
         out = tmp_path / "orbit.csv"
         rc = main([
@@ -160,7 +172,7 @@ class TestCLI:
             assert c["failures"] == f["failures"][:3]
             assert c["failed"] == len(f["failures"])
 
-    @pytest.mark.parametrize("flag", ["--max-failures", "--map-iterate"])
+    @pytest.mark.parametrize("flag", ["--max-failures", "--map-iterate", "--workers"])
     def test_non_positive_count_exits_2(self, flag, capsys):
         with pytest.raises(SystemExit) as e:
             main(["verify-hyperbolicity", flag, "0"])
@@ -168,6 +180,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("case", [
         "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
+        "mixed-dims",
     ])
     def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
         a, b = make_paper_hsets()
@@ -178,6 +191,8 @@ class TestCLI:
             defs["a"]["basis"] = [["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]]
         elif case == "unknown-key":
             defs["a"]["unstable"] = 1
+        elif case == "mixed-dims":
+            defs["b"]["u"], defs["b"]["s"] = 1, 2
         hpath = tmp_path / "hsets.json"
         if case != "unreadable":
             hpath.write_text("{a: 1" if case == "not-json" else json.dumps(defs))
@@ -188,14 +203,19 @@ class TestCLI:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["not-json", "malformed", "pre-change"])
+    @pytest.mark.parametrize("case", [
+        "not-json", "malformed", "pre-change", "missing-hset",
+    ])
     def test_bad_report_exits_2(self, case, tmp_path, capsys):
         d = _toy_report().to_dict()
-        for c in d["covering"]:  # as written before failures were counted
-            del c["condition_I"]["failed"], c["condition_II"]["failed"]
+        if case == "missing-hset":
+            del d["hsets"]["b"]
+        else:
+            for c in d["covering"]:  # as written before failures were counted
+                del c["condition_I"]["failed"], c["condition_II"]["failed"]
         path = tmp_path / "report.json"
-        path.write_text({"not-json": "{", "malformed": '{"covering": 1}',
-                         "pre-change": json.dumps(d)}[case])
+        path.write_text({"not-json": "{", "malformed": '{"covering": 1}'}
+                        .get(case, json.dumps(d)))
         rc = main(["periodic-orbits", "ab", "--report", str(path)])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
@@ -236,6 +256,43 @@ class TestCLI:
         rep = json.loads(path.read_text())
         assert rep["hsets"]["a"]["center"] == ["0.81", "1.0225", "0.975"]
         assert rc in (0, 1)
+
+
+# Runs in a child process with the benchmark's span tracer installed; prints
+# the span names of benchmarks/spans.py's TRACED that recorded no call, and
+# the names of the spans called directly from the `cli` span.
+_TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install_henoncert_tracing(tracer)
+from henoncert import cli
+cli.main(sys.argv[2:])
+names = [tracer.names[i] for i in tracer.name_id]
+uncalled = {span for _, _, span, _ in spans.TRACED} - set(names)
+under_cli = [n for n, p in zip(names, tracer.parent) if p >= 0 and names[p] == "cli"]
+print(json.dumps([sorted(uncalled), sorted(under_cli)]))
+"""
+
+
+class TestTracerContract:
+    def test_every_traced_span_is_called(self, tmp_path):
+        # a subprocess, so no other test sees the wrapped functions
+        spans = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+        src = str(Path(henoncert.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _TRACED_RUN, str(spans), "verify-all",
+             "--body-grid", "2,2,2", "--face-grid", "2,2", "--hyp-grid", "2,2,2",
+             "--workers", "1", "--report", str(tmp_path / "report.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        uncalled, under_cli = json.loads(run.stdout.splitlines()[-1])
+        assert uncalled == []
+        # one traced driver call: the CLI looks the driver up when it runs
+        assert under_cli.count("drivers") == 1
 
 
 class TestDriverParallelism:
