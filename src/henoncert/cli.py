@@ -51,14 +51,22 @@ class _BadInput(Exception):
     """An input file that cannot be used; `main` exits 2."""
 
 
-def _positive(text: str) -> int:
+def _at_least(text: str, low: int, kind: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        n = low - 1
+    if n < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return n
+
+
+def _positive(text: str) -> int:
+    return _at_least(text, 1, "positive")
+
+
+def _non_negative(text: str) -> int:
+    return _at_least(text, 0, "non-negative")
 
 
 def _values(text: str, n: int, item=_positive):
@@ -114,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="NON-RIGOROUS float orbit sample as CSV")
     p.add_argument("--seed", type=lambda s: _values(s, 3, float),
                    default=(0.5, 0.5, 0.5), metavar="X,Y,Z")
-    p.add_argument("--transient", type=int, default=1000)
-    p.add_argument("--count", type=int, default=100000)
+    p.add_argument("--transient", type=_non_negative, default=1000)
+    p.add_argument("--count", type=_non_negative, default=100000)
     p.add_argument("--out", default="attractor.csv", metavar="PATH")
     return ap
 

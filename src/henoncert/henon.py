@@ -3,7 +3,8 @@
 H(x, y, z) = (a - y^2 - b*z, x, y) with defaults a = 1.76, b = 0.1, entered
 through exact decimal parsing so the constants are enclosed, never rounded
 silently.  Jacobians of iterates are explicit chain-rule products over the
-interval orbit segments.
+interval orbit segments; each Henon step uses the companion form of Dh, a row
+shift plus one row combination.
 """
 
 from __future__ import annotations
@@ -76,6 +77,19 @@ class HenonMap:
             ]
         )
 
+    def jacobian_step(self, X: Box, J: IMatrix) -> IMatrix:
+        """Dh(X) @ J by rows: row 0 = (-2y) row 1 + (-b) row 2, rows 1, 2 = old 0, 1.
+
+        The exact 0 and 1 entries of Dh are never multiplied, so no entry is
+        widened by them.
+        """
+        if X.dim != 3:
+            raise IntervalError("Henon map acts on 3-dimensional boxes")
+        m2y = X.coords[1].scale(-2.0)
+        mb = -self.params.b
+        r0, r1, r2 = J.rows
+        return IMatrix([[m2y * p + mb * q for p, q in zip(r1, r2)], r0, r1])
+
     def eval_point(self, p):
         x, y, z = p
         return (self.params.a_float - y * y - self.params.b_float * z, x, y)
@@ -100,6 +114,9 @@ class LinearMap:
 
     def jacobian_box(self, X: Box) -> IMatrix:
         return self.matrix
+
+    def jacobian_step(self, X: Box, J: IMatrix) -> IMatrix:
+        return self.matrix @ J
 
     def eval_point(self, p):
         m = self.matrix.midpoint()
@@ -139,16 +156,20 @@ class IteratedMap:
             out.append(w)
         return out
 
-    def eval(self, X: Box) -> Box:
-        w = self.orbit(X)[-1]
+    def eval(self, X: Box, orbit=None) -> Box:
+        """Local image of X; `orbit`, if given, is `self.orbit(X)`, reused."""
+        w = (self.orbit(X) if orbit is None else orbit)[-1]
         return self.chart_post.local_from_world(w) if self.chart_post else w
 
-    def jacobian(self, X: Box) -> IMatrix:
-        """Chain-rule enclosure of the derivative over every point of X."""
-        boxes = self.orbit(X)
+    def jacobian(self, X: Box, orbit=None) -> IMatrix:
+        """Chain-rule enclosure of the derivative over every point of X.
+
+        `orbit`, if given, is `self.orbit(X)`, reused.
+        """
+        boxes = self.orbit(X) if orbit is None else orbit
         J = self.base.jacobian_box(boxes[0])
         for w in boxes[1:-1]:
-            J = self.base.jacobian_box(w) @ J
+            J = self.base.jacobian_step(w, J)
         if self.chart_pre is not None:
             J = J @ self.chart_pre.basis
         if self.chart_post is not None:

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .henon import IteratedMap
+from .intervals import Interval, IntervalError
 from .linalg import (
     IMatrix,
     is_positive_definite,
@@ -22,6 +23,7 @@ from .linalg import (
 from .sweep import MAX_WITNESSES, UNIT, Record, fan_out, sweep
 
 HYP_GRID = (25, 25, 25)  # shipped cone-check grid
+_ZERO = Interval(0.0, 0.0)
 
 
 def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
@@ -30,8 +32,31 @@ def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
 
 
 def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
-    """Interval enclosure of Df^T Q Df - Q."""
-    return Df.transpose() @ Q @ Df - Q
+    """Interval enclosure of Df^T Q Df - Q for Q = diag(q), each q_k = +-1.
+
+    Only the upper triangle is computed, S_ij = sum_k q_k D_ki D_kj (with
+    sqr(D_ki) on the diagonal, less q_i), each term added or subtracted by
+    the sign q_k; it is then mirrored, since every member matrix is symmetric.
+    IntervalError unless Q is diag(+-1), the form `cone_quadratic_form` makes.
+    """
+    q = [Q.rows[i][i].lo for i in range(min(Q.nrows, Q.ncols))]
+    if Q != IMatrix.diagonal(q) or any(abs(v) != 1.0 for v in q):
+        raise IntervalError("cone form Q must be diag(+-1)")
+    n = len(q)
+    if Df.nrows != n or Df.ncols != n:
+        raise IntervalError("Df must be square, of the size of Q")
+    cols = list(zip(*Df.rows))
+    S = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = _ZERO
+            for qk, a, b in zip(q, cols[i], cols[j]):
+                t = a.sqr() if i == j else a * b
+                acc = acc + t if qk > 0 else acc - t
+            if i == j:
+                acc = acc - Q[i, i]
+            S[i][j] = S[j][i] = acc
+    return IMatrix(S)
 
 
 @dataclass
@@ -69,9 +94,10 @@ def check_map_pair(
     """Skip-or-certify sweep of one chart-conjugated map over the grid."""
 
     def skip_or_pd(Bi):
-        if f.eval(Bi).is_disjoint(UNIT):
+        orbit = f.orbit(Bi)
+        if f.eval(Bi, orbit).is_disjoint(UNIT):
             return "skipped_disjoint"
-        S = cone_matrix(f.jacobian(Bi), Q)
+        S = cone_matrix(f.jacobian(Bi, orbit), Q)
         if is_positive_definite(S):
             return "positive_definite"
         return {
@@ -113,9 +139,8 @@ def check_strong_hyperbolicity(
 
 
 def paper_map_pairs(f: IteratedMap, hsets: dict) -> dict:
-    """The four conjugations f_ij = C_j o f o C_i^-1 over named h-sets."""
-    return {
-        f"{i}{j}": f.conjugated(hsets[i], hsets[j])
-        for i in hsets
-        for j in hsets
-    }
+    """The four conjugations f_ij = C_j o f o C_i^-1, i, j in {a, b}.
+
+    Only the sets the covering chain uses; any other set in `hsets` is ignored.
+    """
+    return {i + j: f.conjugated(hsets[i], hsets[j]) for i in "ab" for j in "ab"}

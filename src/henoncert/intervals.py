@@ -13,6 +13,7 @@ from fractions import Fraction
 
 _INF = math.inf
 _nextafter = math.nextafter
+_new = object.__new__
 
 
 class IntervalError(ValueError):
@@ -170,6 +171,11 @@ class Interval:
 
 
 def _checked(lo: float, hi: float) -> Interval:
+    if -_INF < lo <= hi < _INF:  # valid: skip the second check in __init__
+        iv = _new(Interval)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
     if math.isinf(lo) or math.isinf(hi):
         raise EnclosureError(f"endpoint overflowed: [{lo!r}, {hi!r}]")
     return Interval(lo, hi)

@@ -11,7 +11,9 @@ from henoncert import (
     Interval,
     IteratedMap,
     eval_point_fast,
+    paper_map_pairs,
 )
+from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION
 
 A_EXACT = Fraction(44, 25)
 B_EXACT = Fraction(1, 10)
@@ -40,6 +42,38 @@ def _matmul_exact(A, B):
         [sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
         for i in range(3)
     ]
+
+
+def _inverse_exact(M):
+    """Exact 3x3 inverse over the rationals, by the adjugate."""
+    def cof(i, j):
+        r = [k for k in range(3) if k != i]
+        c = [k for k in range(3) if k != j]
+        minor = M[r[0]][c[0]] * M[r[1]][c[1]] - M[r[0]][c[1]] * M[r[1]][c[0]]
+        return minor if (i + j) % 2 == 0 else -minor
+
+    det = sum(M[0][j] * cof(0, j) for j in range(3))
+    return [[cof(j, i) / det for j in range(3)] for i in range(3)]
+
+
+def _h4_jacobian_exact(w):
+    """Exact DH^4 at the world point w, along the exact orbit."""
+    J = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    for _ in range(4):
+        J = _matmul_exact(_jacobian_exact(w), J)
+        w = _henon_exact(w)
+    return J
+
+
+def _dyadic_point(rng):
+    """A point of [-1, 1]^3 with coordinates k/64: exact as doubles."""
+    return tuple(Fraction(int(rng.integers(-64, 65)), 64) for _ in range(3))
+
+
+def _assert_encloses(J, exact):
+    for i in range(3):
+        for j in range(3):
+            assert Fraction(J[i, j].lo) <= exact[i][j] <= Fraction(J[i, j].hi)
 
 
 class TestEval:
@@ -97,6 +131,33 @@ class TestJacobian:
                     assert (
                         J[i, j].lo - 1e-9 <= float(exact[i][j]) <= J[i, j].hi + 1e-9
                     )
+
+    def test_chartless_jacobian_encloses_exact_rational(self, h4, rng):
+        # dyadic points are exact doubles, so no tolerance is needed
+        for _ in range(20):
+            p = _dyadic_point(rng)
+            J = h4.jacobian(Box.from_point([float(v) for v in p]))
+            _assert_encloses(J, _h4_jacobian_exact(p))
+
+    def test_chart_pair_jacobians_enclose_exact_rational(self, paper_hsets, h4, rng):
+        # M_j^-1 DH^4(c_i + M_i p) M_i with the exact decimal charts
+        defs = {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}
+        center = {n: [Fraction(v) for v in d["center"]] for n, d in defs.items()}
+        basis = {n: [[Fraction(v) for v in r] for r in d["basis"]]
+                 for n, d in defs.items()}
+        pairs = paper_map_pairs(h4, paper_hsets)
+        for label, f in pairs.items():
+            i, j = label
+            for _ in range(5):
+                p = _dyadic_point(rng)
+                w = tuple(center[i][r] + sum(basis[i][r][k] * p[k] for k in range(3))
+                          for r in range(3))
+                exact = _matmul_exact(
+                    _inverse_exact(basis[j]),
+                    _matmul_exact(_h4_jacobian_exact(w), basis[i]),
+                )
+                J = f.jacobian(Box.from_point([float(v) for v in p]))
+                _assert_encloses(J, exact)
 
 
 class TestIteratedMap:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from henoncert.drivers import run_hyperbolicity
 from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, make_hset
 from henoncert.hyperbolicity import check_map_pair
 from henoncert.intervals import Interval, IntervalError
+from henoncert.linalg import subdivide_box
 
 
 def _hsets_u1_s2():
@@ -49,6 +52,17 @@ class TestConeMatrix:
     def test_q_shape(self):
         Q = cone_quadratic_form(2, 1)
         assert Q == IMatrix.diagonal([1.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("Q", [
+        IMatrix.diagonal([2.0, 1.0, -1.0]),
+        IMatrix.diagonal([Interval(0.5, 1.0), 1.0, -1.0]),
+        IMatrix.from_floats([[1, 0.5, 0], [0, 1, 0], [0, 0, -1]]),
+        IMatrix.diagonal([1.0, -1.0]),
+        IMatrix.from_floats([[1, 0, 0], [0, 1, 0]]),
+    ])
+    def test_q_must_be_signed_identity_of_df_size(self, Q):
+        with pytest.raises(IntervalError):
+            cone_matrix(IMatrix.identity(3), Q)
 
     def test_member_containment_random(self, rng):
         Q = cone_quadratic_form()
@@ -102,6 +116,14 @@ class TestPaperMaps:
         out = check_map_pair("aa", pairs["aa"], (10, 10, 10), cone_quadratic_form())
         assert out.skipped_disjoint > 0
 
+    def test_third_hset_is_not_paired(self, paper_hsets, h4):
+        # only a and b carry the covering chain; a third set changes nothing
+        c = paper_hsets["a"].translated((0.0, 3.0, 0.0))
+        hs = {**paper_hsets, "c": c}
+        assert list(paper_map_pairs(h4, hs)) == ["aa", "ab", "ba", "bb"]
+        cert = run_hyperbolicity((1, 1, 1), hsets=hs)
+        assert [o.label for o in cert.outcomes] == ["aa", "ab", "ba", "bb"]
+
     def test_pairs_need_matching_dims(self, paper_hsets, h4):
         mixed = {"a": paper_hsets["a"], "b": _hsets_u1_s2()["b"]}
         with pytest.raises(IntervalError):
@@ -121,6 +143,57 @@ class TestPaperMaps:
         pairs = paper_map_pairs(h4, paper_hsets)
         cert = check_strong_hyperbolicity(pairs, grid=(1, 1, 1))
         assert not cert.passed
+
+
+def _width(M):
+    return sum(e.width() for row in M.rows for e in row)
+
+
+def _within_an_ulp(outer, inner):
+    """Each entry of `inner` lies in `outer`'s entry widened by one ulp per side."""
+    return all(
+        math.nextafter(o.lo, -math.inf) <= e.lo and e.hi <= math.nextafter(o.hi, math.inf)
+        for ro, re in zip(outer.rows, inner.rows)
+        for o, e in zip(ro, re)
+    )
+
+
+class TestDenseReference:
+    """The companion-form chain and the symmetric cone matrix against the
+    dense interval products they replace, box by box."""
+
+    GRID = (6, 6, 6)
+
+    @staticmethod
+    def _dense_jacobian(f, orbit):
+        J = f.base.jacobian_box(orbit[0])
+        for w in orbit[1:-1]:
+            J = f.base.jacobian_box(w) @ J
+        return f.chart_post.basis_inv @ (J @ f.chart_pre.basis)
+
+    def test_jacobian_within_dense_chain(self, paper_hsets, h4):
+        for f in paper_map_pairs(h4, paper_hsets).values():
+            for Bi in subdivide_box(Box.cube(-1, 1, 3), self.GRID):
+                orbit = f.orbit(Bi)
+                J = f.jacobian(Bi, orbit)
+                assert J == f.jacobian(Bi)
+                dense = self._dense_jacobian(f, orbit)
+                assert dense.contains(J) and _width(J) < _width(dense)
+
+    def test_cone_matrix_within_dense_products(self, paper_hsets, h4):
+        # The kernel's sum widens an inexact endpoint by one ulp whatever the
+        # sign of the rounding error, so it is not inclusion-monotone: a
+        # tighter partial sum can round one ulp past a wider one that happened
+        # to be exact (77 of these 864 boxes, at the diagonal's final -q_i).
+        # Both results enclose the exact matrices.
+        Q = cone_quadratic_form()
+        for f in paper_map_pairs(h4, paper_hsets).values():
+            for Bi in subdivide_box(Box.cube(-1, 1, 3), self.GRID):
+                Df = f.jacobian(Bi)
+                S = cone_matrix(Df, Q)
+                dense = Df.transpose() @ Q @ Df - Q
+                assert _within_an_ulp(dense, S) and _width(S) < _width(dense)
+                assert S == S.transpose()
 
 
 class TestSkipAndPDSoundness:

@@ -52,6 +52,8 @@ class TestArithmetic:
         big = I(1e308, 1e308)
         with pytest.raises(EnclosureError):
             big + big
+        with pytest.raises(EnclosureError):
+            big * big
 
 
 class TestFromDecimal:

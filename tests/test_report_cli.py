@@ -108,6 +108,14 @@ class TestCLI:
         assert rc == 0
         assert out.read_text().splitlines() == ["# NON-RIGOROUS SAMPLE", "x,y,z"]
 
+    @pytest.mark.parametrize("flag", ["--count", "--transient"])
+    def test_attractor_negative_count_exits_2(self, flag, tmp_path, capsys):
+        out = tmp_path / "orbit.csv"
+        with pytest.raises(SystemExit) as e:
+            main(["attractor-sample", flag, "-3", "--out", str(out)])
+        assert e.value.code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["1,2", "1,2,3,4"])
     def test_attractor_seed_needs_three_numbers(self, seed, tmp_path, capsys):
         with pytest.raises(SystemExit) as e:
