@@ -8,30 +8,29 @@ Run:  python3 demos/03_covering_relation.py
 
 from henoncert import (
     Box,
-    CoveringConfig,
     HenonMap,
     IteratedMap,
     linearization_at_center,
     make_paper_hsets,
     verify_covering,
 )
-from henoncert.covering import local_map
 
 a, b = make_paper_hsets()
 f4 = IteratedMap(HenonMap(), k=4)
 
-# The local map C_b o H^4 o C_b^-1 on the whole cube: hopelessly wide
-fc = local_map(f4, b, b)
+# The local map C_b o H^4 o C_b^-1 on the whole cube: hopelessly wide.
+# Every check of b => b takes this one map and reads b, u and s from it.
+fc = f4.conjugated(b, b)
 print("image of the whole cube:", fc.eval(Box.cube(-1, 1, 3)))
 
 # The linearization chosen for the homotopy: midpoint of the unstable
 # Jacobian block at the origin
-A = linearization_at_center(f4, b, b)
-print("A =", A.entries)
+A = linearization_at_center(fc)
+print("A =", A.midpoint())
 
 # With the body subdivided 20x20x20 and each exit face 10x10, both the
 # spanning check and the exit-face check go through
-cert = verify_covering(f4, b, b, CoveringConfig(body_grid=(20, 20, 20)))
+cert = verify_covering(fc, (20, 20, 20))
 print(f"b => b passed: {cert.passed}  ({cert.wall_time:.1f}s)")
 ci = cert.condition_I
 print(f"  body boxes: {ci.checked}, thrown past the unstable boundary: "
@@ -39,6 +38,6 @@ print(f"  body boxes: {ci.checked}, thrown past the unstable boundary: "
 print(f"  face parts checked: {sum(fc_['checked'] for fc_ in cert.condition_II.faces)}")
 
 # A deliberately coarse run fails and reports witnesses
-coarse = verify_covering(f4, b, b, CoveringConfig(body_grid=(2, 2, 2)))
+coarse = verify_covering(fc, (2, 2, 2))
 print(f"coarse 2x2x2 run passed: {coarse.passed}, "
       f"witnesses: {len(coarse.condition_I.failures)}")

@@ -20,11 +20,11 @@ from henoncert.hyperbolicity import check_map_pair
 a, b = make_paper_hsets()
 f4 = IteratedMap(HenonMap(), k=4)
 pairs = paper_map_pairs(f4, {"a": a, "b": b})
-Q = cone_quadratic_form()
-print("Q =", Q)
+# Q = diag(Id_u, -Id_s) is read from each map's charts: diag(1, 1, -1) here
+print("Q =", cone_quadratic_form(a.u, a.s))
 
 # One pair at the shipped grid
-out = check_map_pair("aa", pairs["aa"], (25, 25, 25), Q)
+out = check_map_pair("aa", pairs["aa"], (25, 25, 25))
 print(f"f_aa: skipped {out.skipped_disjoint}, positive definite "
       f"{out.positive_definite}, failed {out.failed}")
 

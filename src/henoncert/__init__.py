@@ -21,11 +21,17 @@ from .henon import (
     LinearMap,
     eval_point_fast,
 )
-from .hsets import HSet, LocalFace, load_hsets, make_hset, make_paper_hsets, save_hsets
+from .hsets import (
+    HSet,
+    LocalFace,
+    load_hsets,
+    make_hset,
+    make_paper_hsets,
+    paper_map_pairs,
+    save_hsets,
+)
 from .covering import (
     CoveringCertificate,
-    CoveringConfig,
-    LinearizationA,
     check_condition_I,
     check_condition_II,
     linearization_at_center,
@@ -36,7 +42,6 @@ from .hyperbolicity import (
     check_strong_hyperbolicity,
     cone_matrix,
     cone_quadratic_form,
-    paper_map_pairs,
 )
 from .report import (
     ProofReport,
@@ -48,7 +53,6 @@ from .report import (
 __all__ = [
     "Box",
     "CoveringCertificate",
-    "CoveringConfig",
     "DivergenceError",
     "EnclosureError",
     "HSet",
@@ -60,7 +64,6 @@ __all__ = [
     "IntervalError",
     "IteratedMap",
     "LinearMap",
-    "LinearizationA",
     "LocalFace",
     "ProofReport",
     "ReportError",

@@ -1,11 +1,13 @@
-"""Verification of covering relations N0 => N1 under a map.
+"""Verification of covering relations N0 => N1 under a map f.
 
-The image of the source must stretch across the target in the unstable
+Every check takes the one chart-conjugated map fc = C_N1 o f o C_N0^-1
+(`f.conjugated(N0, N1)`) and reads the names, u and s from its charts.  The
+image of the source must stretch across the target in the unstable
 directions and stay clear of the target's entry set.  Two sufficient checks
 run over subdivisions of the local cube B = [-1,1]^3:
 
   condition I  (per body sub-box P):    some unstable coordinate of the local
-    image lies strictly outside [-1,1], or the stable coordinate lies strictly
+    image lies strictly outside [-1,1], or all stable coordinates lie strictly
     inside;
   condition II (per exit-face part F):  the interval hull of the image of F
     under the map and under the linearization (A x, 0) lies strictly outside
@@ -24,40 +26,12 @@ import time
 from dataclasses import dataclass, field
 
 from .henon import IteratedMap
-from .hsets import HSet
-from .intervals import Box
-from .linalg import subdivide_box
+from .intervals import Box, Interval
+from .linalg import IMatrix, subdivide_box
 from .sweep import MAX_WITNESSES, UNIT, Record, sweep
 
 BODY_GRID = (20, 20, 20)  # shipped condition I grid
 FACE_GRID = (10, 10)  # shipped condition II grid on each exit face
-
-
-@dataclass(frozen=True)
-class CoveringConfig:
-    body_grid: tuple = BODY_GRID
-    face_grid: tuple = FACE_GRID
-    max_failures_reported: int = MAX_WITNESSES
-
-
-@dataclass(frozen=True)
-class LinearizationA:
-    """Point u x u matrix taken inside the Jacobian block it approximates."""
-
-    entries: tuple  # ((a11, a12), (a21, a22))
-
-    def apply(self, xu) -> list:
-        """Interval image of the unstable part of a local box."""
-        out = []
-        for row in self.entries:
-            acc = xu[0].scale(row[0])
-            for a, x in zip(row[1:], xu[1:]):
-                acc = acc + x.scale(a)
-            out.append(acc)
-        return out
-
-    def as_lists(self):
-        return [list(r) for r in self.entries]
 
 
 @dataclass
@@ -100,18 +74,12 @@ class CoveringCertificate(Record):
         return self.condition_I.passed and self.condition_II.passed
 
 
-def local_map(f: IteratedMap, N0: HSet, N1: HSet) -> IteratedMap:
-    """C_N1 o f o C_N0^-1 acting on local boxes."""
-    return f.conjugated(N0, N1)
-
-
-def linearization_at_center(f: IteratedMap, N0: HSet, N1: HSet) -> LinearizationA:
-    """Midpoint of the unstable block of the local Jacobian at the origin."""
-    J = local_map(f, N0, N1).jacobian(Box.from_point((0.0, 0.0, 0.0)))
-    u = N0.u
-    return LinearizationA(
-        entries=tuple(tuple(J[i, j].mid() for j in range(u)) for i in range(u))
-    )
+def linearization_at_center(fc: IteratedMap) -> IMatrix:
+    """Point u x u matrix: midpoints of the unstable block of the local
+    Jacobian of the chart-conjugated map `fc` at the origin."""
+    u = fc.charts()[0].u
+    J = fc.jacobian(Box.from_point((0.0, 0.0, 0.0)))
+    return IMatrix([[Interval.point(J[i, j].mid()) for j in range(u)] for i in range(u)])
 
 
 def _body_accepts(Y: Box, u: int):
@@ -119,63 +87,53 @@ def _body_accepts(Y: Box, u: int):
     for i in range(u):
         if Y[i].mig() > 1.0:
             return "outside_unstable"
-    if Y[u].mag() < 1.0 and all(Y[i].mag() < 1.0 for i in range(u + 1, Y.dim)):
+    if all(Y[i].mag() < 1.0 for i in range(u, Y.dim)):
         return "inside_stable"
     return None
 
 
-def check_condition_I(
-    f: IteratedMap, N0: HSet, N1: HSet, cfg: CoveringConfig
-) -> ConditionISummary:
-    """Spanning check over the body grid; lists the first failing sub-boxes."""
-    fc = local_map(f, N0, N1)
+def check_condition_I(fc: IteratedMap, body_grid, cap: int) -> ConditionISummary:
+    """Spanning check over the body grid; lists the first `cap` failing sub-boxes."""
+    u = fc.charts()[0].u
 
     def body(P):
         Y = fc.eval(P)
-        return _body_accepts(Y, N0.u) or {"box": P.endpoints(), "image": Y.endpoints()}
+        return _body_accepts(Y, u) or {"box": P.endpoints(), "image": Y.endpoints()}
 
-    counts, failures = sweep(
-        subdivide_box(UNIT, cfg.body_grid), body, cfg.max_failures_reported
-    )
+    counts, failures = sweep(subdivide_box(UNIT, body_grid), body, cap)
     return ConditionISummary(
         checked=sum(counts.values()), failures=failures, **counts
     )
 
 
 def check_condition_II(
-    f: IteratedMap,
-    N0: HSet,
-    N1: HSet,
-    A: LinearizationA,
-    cfg: CoveringConfig,
+    fc: IteratedMap, A: IMatrix, face_grid, cap: int
 ) -> ConditionIISummary:
     """Exit-face check: hull of map image and linear image clears the target.
 
     One witness cap is shared by all exit faces.
     """
-    fc = local_map(f, N0, N1)
+    N0 = fc.charts()[0]
     u = N0.u
 
     def exits(F):
-        Ya = A.apply(F.coords[:u])
+        Ya = A @ Box(F.coords[:u])
         Yf = fc.eval(F)
         if any(Yf[i].hull(Ya[i]).mig() > 1.0 for i in range(u)):
             return "exits"
         return {
             "box": F.endpoints(),
             "image": Yf.endpoints(),
-            "linear_image": [[y.lo, y.hi] for y in Ya],
+            "linear_image": Ya.endpoints(),
         }
 
     out = ConditionIISummary()
     for face in N0.exit_faces():
         grid = [1] * face.dim
-        for axis, m in zip(face.free_axes(), cfg.face_grid):
+        for axis, m in zip(face.free_axes(), face_grid):
             grid[axis] = m
         counts, failures = sweep(
-            subdivide_box(face.extent(), grid),
-            exits,
-            cfg.max_failures_reported - len(out.failures),
+            subdivide_box(face.extent(), grid), exits, cap - len(out.failures)
         )
         out.failed += counts["failed"]
         out.failures += [
@@ -188,21 +146,25 @@ def check_condition_II(
 
 
 def verify_covering(
-    f: IteratedMap, N0: HSet, N1: HSet, cfg: CoveringConfig | None = None
+    fc: IteratedMap,
+    body_grid=BODY_GRID,
+    face_grid=FACE_GRID,
+    max_failures_reported: int = MAX_WITNESSES,
 ) -> CoveringCertificate:
-    """Full covering check N0 => N1; the certificate records the whole run."""
-    cfg = cfg or CoveringConfig()
+    """Full covering check source => target of the chart-conjugated map `fc`
+    (`f.conjugated(source, target)`); the certificate records the whole run."""
+    N0, N1 = fc.charts()
     t0 = time.monotonic()
-    A = linearization_at_center(f, N0, N1)
-    ci = check_condition_I(f, N0, N1, cfg)
-    cii = check_condition_II(f, N0, N1, A, cfg)
+    A = linearization_at_center(fc)
+    ci = check_condition_I(fc, body_grid, max_failures_reported)
+    cii = check_condition_II(fc, A, face_grid, max_failures_reported)
     return CoveringCertificate(
         source=N0.name,
         target=N1.name,
         condition_I=ci,
         condition_II=cii,
-        A=A.as_lists(),
-        body_grid=tuple(cfg.body_grid),
-        face_grid=tuple(cfg.face_grid),
+        A=A.midpoint(),
+        body_grid=tuple(body_grid),
+        face_grid=tuple(face_grid),
         wall_time=time.monotonic() - t0,
     )

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import time
 
-from .covering import BODY_GRID, FACE_GRID, CoveringConfig, verify_covering
+from .covering import BODY_GRID, FACE_GRID, verify_covering
 from .henon import HenonMap, HenonParams, IteratedMap
-from .hsets import make_paper_hsets
+from .hsets import make_paper_hsets, paper_map_pairs
 from .hyperbolicity import (
     HYP_GRID,
     HyperbolicityCertificate,
     check_strong_hyperbolicity,
-    cone_quadratic_form,
-    paper_map_pairs,
 )
-from .report import COVERING_CHAIN, ProofReport
+from .report import ProofReport
 from .sweep import MAX_WITNESSES, fan_out
 
 
@@ -44,14 +42,9 @@ def run_symbolic(
     max_failures_reported: int = MAX_WITNESSES,
 ) -> list:
     """Covering certificates for the chain a=>a, a=>b, b=>a, b=>b."""
-    f = default_map(iterate)
-    hs = default_hsets(hsets)
-    cfg = CoveringConfig(
-        body_grid=tuple(body_grid),
-        face_grid=tuple(face_grid),
-        max_failures_reported=max_failures_reported,
-    )
-    tasks = [(f, hs[i], hs[j], cfg) for i, j in COVERING_CHAIN]
+    pairs = paper_map_pairs(default_map(iterate), default_hsets(hsets))
+    tasks = [(fc, body_grid, face_grid, max_failures_reported)
+             for fc in pairs.values()]
     return fan_out(verify_covering, tasks, workers)
 
 
@@ -63,11 +56,9 @@ def run_hyperbolicity(
     max_failures_reported: int = MAX_WITNESSES,
 ) -> HyperbolicityCertificate:
     """Cone-condition certificate over the four chart-conjugated maps."""
-    hs = default_hsets(hsets)
     return check_strong_hyperbolicity(
-        paper_map_pairs(default_map(iterate), hs),
+        paper_map_pairs(default_map(iterate), default_hsets(hsets)),
         grid,
-        cone_quadratic_form(hs["a"].u, hs["a"].s),
         max_failures_reported,
         workers=workers,
     )

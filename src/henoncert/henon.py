@@ -38,10 +38,6 @@ class HenonParams:
         self.a_float = float(a)
         self.b_float = float(b)
 
-    @classmethod
-    def from_decimals(cls, a: str, b: str) -> "HenonParams":
-        return cls(a, b)
-
     def __repr__(self):
         return f"HenonParams(a={self.a_decimal!r}, b={self.b_decimal!r})"
 
@@ -54,7 +50,7 @@ class HenonParams:
 
 
 class HenonMap:
-    """One application of H; interval image, interval Jacobian, float point step."""
+    """One application of H: interval image and interval Jacobian."""
 
     def __init__(self, params: HenonParams | None = None):
         self.params = params or HenonParams()
@@ -90,10 +86,6 @@ class HenonMap:
         r0, r1, r2 = J.rows
         return IMatrix([[m2y * p + mb * q for p, q in zip(r1, r2)], r0, r1])
 
-    def eval_point(self, p):
-        x, y, z = p
-        return (self.params.a_float - y * y - self.params.b_float * z, x, y)
-
 
 class LinearMap:
     """Point linear map on R^3; handy for toy controls of the verifiers."""
@@ -117,10 +109,6 @@ class LinearMap:
 
     def jacobian_step(self, X: Box, J: IMatrix) -> IMatrix:
         return self.matrix @ J
-
-    def eval_point(self, p):
-        m = self.matrix.midpoint()
-        return tuple(sum(m[i][j] * p[j] for j in range(3)) for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -146,6 +134,12 @@ class IteratedMap:
         if (source.u, source.s) != (target.u, target.s):
             raise IntervalError("charts must have matching exit/entry dimensions")
         return IteratedMap(self.base, self.k, chart_pre=source, chart_post=target)
+
+    def charts(self):
+        """(chart_pre, chart_post); IntervalError unless both are attached."""
+        if self.chart_pre is None or self.chart_post is None:
+            raise IntervalError("the checks act on chart cubes: conjugate the map")
+        return self.chart_pre, self.chart_post
 
     def orbit(self, X: Box):
         """World boxes [w_0, ..., w_k] along the iteration, w_0 pre-chart image."""
@@ -175,13 +169,6 @@ class IteratedMap:
         if self.chart_post is not None:
             J = self.chart_post.basis_inv @ J
         return J
-
-    def eval_point(self, p):
-        if self.chart_pre is not None or self.chart_post is not None:
-            raise IntervalError("point iteration is defined for chartless maps")
-        for _ in range(self.k):
-            p = self.base.eval_point(p)
-        return p
 
 
 def eval_point_fast(p, k: int, params: HenonParams | None = None):

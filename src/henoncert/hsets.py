@@ -27,8 +27,10 @@ class HSet:
 
     def __post_init__(self):
         n = self.center.dim
-        if self.u + self.s != n:
-            raise IntervalError(f"u+s must equal dimension {n}")
+        if self.u < 1 or self.s < 0 or self.u + self.s != n:
+            raise IntervalError(
+                f"need u >= 1, s >= 0 and u+s = {n}, got u={self.u}, s={self.s}"
+            )
         if not (self.basis @ self.basis_inv).contains(IMatrix.identity(n)):
             raise IntervalError("basis inverse fails the containment check")
 
@@ -140,12 +142,25 @@ HSET_B_DEFINITION = {
 }
 
 
+# The covering relations i => j that make a union b a horseshoe, in report
+# order; the cone check runs on the same four chart pairs.
+COVERING_CHAIN = (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
+
+
 def make_paper_hsets():
     """The h-sets a and b used by the shipped certification drivers."""
     return (
         make_hset("a", HSET_A_DEFINITION["center"], HSET_A_DEFINITION["basis"]),
         make_hset("b", HSET_B_DEFINITION["center"], HSET_B_DEFINITION["basis"]),
     )
+
+
+def paper_map_pairs(f, hsets: dict) -> dict:
+    """Label ij -> f_ij = C_j o f o C_i^-1 for each i => j of COVERING_CHAIN.
+
+    Only sets a and b are used; any other set in `hsets` is ignored.
+    """
+    return {i + j: f.conjugated(hsets[i], hsets[j]) for i, j in COVERING_CHAIN}
 
 
 def hset_from_definition(name: str, d: dict) -> HSet:

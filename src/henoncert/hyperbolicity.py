@@ -3,8 +3,8 @@
 For each chart-conjugated map f and each sub-box B_i of B = [-1,1]^3, either
 the interval image [f(B_i)] misses B entirely (B_i cannot meet the invariant
 set, so it is skipped), or Df(B_i)^T Q Df(B_i) - Q must be verifiably positive
-definite with Q = diag(Id_u, -Id_s).  A pass for all four map pairs yields
-uniform hyperbolicity of the invariant set.
+definite with Q = diag(Id_u, -Id_s), u and s read from f's charts.  A pass
+for all four map pairs yields uniform hyperbolicity of the invariant set.
 """
 
 from __future__ import annotations
@@ -88,10 +88,11 @@ def check_map_pair(
     label: str,
     f: IteratedMap,
     grid,
-    Q: IMatrix,
     max_failures_reported: int = MAX_WITNESSES,
 ) -> MapPairOutcome:
     """Skip-or-certify sweep of one chart-conjugated map over the grid."""
+    N0 = f.charts()[0]  # `conjugated` made both charts share (u, s)
+    Q = cone_quadratic_form(N0.u, N0.s)
 
     def skip_or_pd(Bi):
         orbit = f.orbit(Bi)
@@ -114,7 +115,6 @@ def check_map_pair(
 def check_strong_hyperbolicity(
     maps,
     grid=HYP_GRID,
-    Q: IMatrix | None = None,
     max_failures_reported: int = MAX_WITNESSES,
     workers: int = 1,
 ) -> HyperbolicityCertificate:
@@ -126,21 +126,12 @@ def check_strong_hyperbolicity(
     outcomes are the same, in the order of `maps`, for any count.
     """
     grid = tuple(int(g) for g in grid)
-    Q = Q if Q is not None else cone_quadratic_form()
     t0 = time.monotonic()
     outcomes = fan_out(
         check_map_pair,
-        [(label, f, grid, Q, max_failures_reported) for label, f in maps.items()],
+        [(label, f, grid, max_failures_reported) for label, f in maps.items()],
         workers,
     )
     return HyperbolicityCertificate(
         grid=grid, outcomes=outcomes, wall_time=time.monotonic() - t0
     )
-
-
-def paper_map_pairs(f: IteratedMap, hsets: dict) -> dict:
-    """The four conjugations f_ij = C_j o f o C_i^-1, i, j in {a, b}.
-
-    Only the sets the covering chain uses; any other set in `hsets` is ignored.
-    """
-    return {i + j: f.conjugated(hsets[i], hsets[j]) for i in "ab" for j in "ab"}

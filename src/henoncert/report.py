@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .covering import CoveringCertificate
-from .hsets import HSet
+from .hsets import COVERING_CHAIN
 from .hyperbolicity import HyperbolicityCertificate
-
-COVERING_CHAIN = (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
 
 
 class ReportError(ValueError):

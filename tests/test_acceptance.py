@@ -25,7 +25,6 @@ from henoncert import (
     verify_covering,
 )
 from henoncert.cli import main
-from henoncert.covering import CoveringConfig
 from henoncert.drivers import run_all, run_hyperbolicity, run_symbolic
 from henoncert.hsets import save_hsets
 from henoncert.report import COVERING_CHAIN, ProofReport
@@ -230,9 +229,9 @@ def test_criterion_4_oracle_equivalence(rng):
 
 def test_criterion_5_negative_controls(tmp_path):
     a, b = make_paper_hsets()
-    cfg = CoveringConfig(body_grid=PAPER_BODY, face_grid=PAPER_FACE)
-
-    identity_cert = verify_covering(IteratedMap(LinearMap.identity()), a, a, cfg)
+    identity_cert = verify_covering(
+        IteratedMap(LinearMap.identity()).conjugated(a, a), PAPER_BODY, PAPER_FACE
+    )
     id_ok = not identity_cert.passed and (
         identity_cert.condition_I.failures or identity_cert.condition_II.failures
     )
@@ -241,7 +240,7 @@ def test_criterion_5_negative_controls(tmp_path):
     # spanned by the 0.1825 half-width column)
     shifted = a.translated((0.0, 0.5, 0.0))
     f4 = IteratedMap(HenonMap(), k=4)
-    shift_cert = verify_covering(f4, a, shifted, cfg)
+    shift_cert = verify_covering(f4.conjugated(a, shifted), PAPER_BODY, PAPER_FACE)
     shift_ok = not shift_cert.passed and (
         shift_cert.condition_I.failures or shift_cert.condition_II.failures
     )

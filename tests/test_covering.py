@@ -1,94 +1,110 @@
-from dataclasses import replace
-
 import pytest
 
 from henoncert import (
     Box,
-    CoveringConfig,
     HenonMap,
+    IMatrix,
     IteratedMap,
     LinearMap,
     check_condition_I,
     check_condition_II,
     linearization_at_center,
+    paper_map_pairs,
     verify_covering,
 )
-from henoncert.covering import LinearizationA, local_map
 from henoncert.hsets import make_hset
-from henoncert.intervals import IntervalError
+from henoncert.intervals import Interval, IntervalError
 
 UNIT_BASIS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
-def unit_hset(name="u"):
-    return make_hset(name, ["0", "0", "0"], UNIT_BASIS)
+def unit_hset(name="u", u=2, s=1):
+    return make_hset(name, ["0", "0", "0"], UNIT_BASIS, u=u, s=s)
 
 
-SMALL = CoveringConfig(body_grid=(4, 4, 4), face_grid=(3, 3), max_failures_reported=10)
+def on_unit_chart(base):
+    """The toy map conjugated by the identity chart of `unit_hset`."""
+    N = unit_hset()
+    return IteratedMap(base).conjugated(N, N)
+
+
+BODY, FACE, CAP = (4, 4, 4), (3, 3), 10
 
 
 class TestLinearization:
     def test_identity_map(self):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.identity())
-        A = linearization_at_center(f, N, N)
-        assert A.entries[0][0] == pytest.approx(1.0)
-        assert A.entries[1][1] == pytest.approx(1.0)
-        assert A.entries[0][1] == pytest.approx(0.0, abs=1e-15)
+        A = linearization_at_center(on_unit_chart(LinearMap.identity()))
+        assert (A.nrows, A.ncols) == (2, 2)
+        assert all(e.lo == e.hi for row in A.rows for e in row)  # a point matrix
+        m = A.midpoint()
+        assert m[0][0] == pytest.approx(1.0)
+        assert m[1][1] == pytest.approx(1.0)
+        assert m[0][1] == pytest.approx(0.0, abs=1e-15)
 
     def test_triple_scaling(self):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.scaling(3, 3, 3))
-        A = linearization_at_center(f, N, N)
-        assert A.entries[0][0] == pytest.approx(3.0)
-        assert A.entries[1][1] == pytest.approx(3.0)
+        m = linearization_at_center(on_unit_chart(LinearMap.scaling(3, 3, 3))).midpoint()
+        assert m[0][0] == pytest.approx(3.0)
+        assert m[1][1] == pytest.approx(3.0)
 
     def test_h4_block_is_inside_jacobian(self, paper_hsets, h4):
         a = paper_hsets["a"]
-        A = linearization_at_center(h4, a, a)
-        J = local_map(h4, a, a).jacobian(Box.from_point((0, 0, 0)))
+        fc = h4.conjugated(a, a)
+        A = linearization_at_center(fc)
+        J = fc.jacobian(Box.from_point((0, 0, 0)))
         for i in range(2):
             for j in range(2):
-                assert J[i, j].contains_point(A.entries[i][j])
+                assert J[i, j].contains_point(A.midpoint()[i][j])
+
+    def test_linear_image_is_rowwise_scaled_sum(self, paper_hsets, h4, rng):
+        # A @ Box is the sum of x_j scaled by the exact float A_ij, bit for bit
+        for fc in paper_map_pairs(h4, paper_hsets).values():
+            A = linearization_at_center(fc)
+            for _ in range(20):
+                lo = rng.uniform(-1, 1, size=2)
+                xu = [Interval(v, v + w) for v, w in zip(lo, rng.uniform(0, 0.2, 2))]
+                for row, y in zip(A.midpoint(), A @ Box(xu)):
+                    assert y == xu[0].scale(row[0]) + xu[1].scale(row[1])
 
 
 class TestConditionI:
     def test_contraction_passes_via_stable_disjunct(self):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.scaling(0.5, 0.5, 0.5))
-        out = check_condition_I(f, N, N, SMALL)
+        out = check_condition_I(on_unit_chart(LinearMap.scaling(0.5, 0.5, 0.5)), BODY, CAP)
         assert out.passed
         assert out.inside_stable == out.checked
 
     def test_identity_fails_on_boundary_boxes(self):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.identity())
-        out = check_condition_I(f, N, N, SMALL)
+        f = on_unit_chart(LinearMap.identity())
+        out = check_condition_I(f, BODY, CAP)
         assert not out.passed
         assert out.failures
         # the cap keeps the first witnesses and still counts every failure
-        full = check_condition_I(f, N, N, replace(SMALL, max_failures_reported=10**6))
+        full = check_condition_I(f, BODY, 10**6)
         assert out.failed == len(full.failures) > len(out.failures) == 10
         assert out.failures == full.failures[:10]
+
+    def test_no_entry_directions(self):
+        # u=3, s=0: the stable test is vacuous and reads no coordinate past u
+        N = unit_hset(u=3, s=0)
+        f = IteratedMap(LinearMap.identity()).conjugated(N, N)
+        out = check_condition_I(f, (2, 2, 2), CAP)
+        assert out.checked == 8 and out.inside_stable == 8 and out.passed
 
 
 class TestConditionII:
     def test_expansion_passes(self):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.scaling(3, 3, 0.5))
-        A = LinearizationA(entries=((3.0, 0.0), (0.0, 3.0)))
-        out = check_condition_II(f, N, N, A, SMALL)
+        f = on_unit_chart(LinearMap.scaling(3, 3, 0.5))
+        A = IMatrix.from_floats([[3.0, 0.0], [0.0, 3.0]])
+        out = check_condition_II(f, A, FACE, CAP)
         assert out.passed
         assert len(out.faces) == 4
 
     def test_identity_fails(self):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.identity())
-        A = LinearizationA(entries=((1.0, 0.0), (0.0, 1.0)))
-        out = check_condition_II(f, N, N, A, SMALL)
+        f = on_unit_chart(LinearMap.identity())
+        A = IMatrix.from_floats([[1.0, 0.0], [0.0, 1.0]])
+        out = check_condition_II(f, A, FACE, CAP)
         assert not out.passed
         # one cap shared by the four exit faces, which all fail
-        full = check_condition_II(f, N, N, A, replace(SMALL, max_failures_reported=10**6))
+        full = check_condition_II(f, A, FACE, 10**6)
         assert out.failed == len(full.failures) == 4 * 9
         assert out.failures == full.failures[:10]
         assert out.faces == full.faces
@@ -96,34 +112,36 @@ class TestConditionII:
 
 class TestVerifyCovering:
     def test_identity_self_covering_fails(self, paper_hsets):
-        f = IteratedMap(LinearMap.identity())
-        cert = verify_covering(f, paper_hsets["a"], paper_hsets["a"], SMALL)
+        a = paper_hsets["a"]
+        f = IteratedMap(LinearMap.identity()).conjugated(a, a)
+        cert = verify_covering(f, BODY, FACE, CAP)
         assert not cert.passed
         assert cert.condition_I.failures or cert.condition_II.failures
 
     def test_toy_covering_passes(self):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.scaling(3, 3, 0.25))
-        cert = verify_covering(f, N, N, SMALL)
+        N0, N1 = unit_hset("p"), unit_hset("q")
+        f = IteratedMap(LinearMap.scaling(3, 3, 0.25)).conjugated(N0, N1)
+        cert = verify_covering(f, BODY, FACE, CAP)
         assert cert.passed
-        assert cert.source == N.name and cert.target == N.name
+        assert (cert.source, cert.target) == ("p", "q")
 
     def test_certificate_roundtrip(self):
         from henoncert import CoveringCertificate
 
-        N = unit_hset()
-        f = IteratedMap(LinearMap.scaling(3, 3, 0.25))
-        cert = verify_covering(f, N, N, SMALL)
+        cert = verify_covering(on_unit_chart(LinearMap.scaling(3, 3, 0.25)), BODY, FACE, CAP)
         back = CoveringCertificate.from_dict(cert.to_dict())
         assert back.to_dict() == cert.to_dict()
 
     def test_determinism(self):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.scaling(3, 3, 0.25))
-        d1 = verify_covering(f, N, N, SMALL).to_dict()
-        d2 = verify_covering(f, N, N, SMALL).to_dict()
+        f = on_unit_chart(LinearMap.scaling(3, 3, 0.25))
+        d1 = verify_covering(f, BODY, FACE, CAP).to_dict()
+        d2 = verify_covering(f, BODY, FACE, CAP).to_dict()
         d1.pop("wall_time"), d2.pop("wall_time")
         assert d1 == d2
+
+    def test_map_without_charts_raises(self):
+        with pytest.raises(IntervalError):
+            verify_covering(IteratedMap(LinearMap.scaling(3, 3, 0.25)), BODY, FACE, CAP)
 
 
 class TestGridValidation:
@@ -131,23 +149,19 @@ class TestGridValidation:
         dict(body_grid=(0, 1, 1)), dict(face_grid=(1, 0)),
     ])
     def test_zero_count_raises(self, grids):
-        N = unit_hset()
-        f = IteratedMap(LinearMap.scaling(3, 3, 0.25))
-        cfg = CoveringConfig(**{"body_grid": (1, 1, 1), "face_grid": (1, 1), **grids})
+        f = on_unit_chart(LinearMap.scaling(3, 3, 0.25))
         with pytest.raises(IntervalError):
-            verify_covering(f, N, N, cfg)
+            verify_covering(f, **{"body_grid": (1, 1, 1), "face_grid": (1, 1), **grids})
 
 
 class TestWitnessValidity:
     def test_reported_body_failures_reproduce(self, paper_hsets, h4):
         # witnesses from a coarse failing run must fail standalone too
         a = paper_hsets["a"]
-        cfg = CoveringConfig(body_grid=(6, 6, 6), max_failures_reported=5)
-        out = check_condition_I(h4, a, a, cfg)
+        fc = h4.conjugated(a, a)
+        out = check_condition_I(fc, (6, 6, 6), 5)
         assert not out.passed
-        fc = local_map(h4, a, a)
         from henoncert.covering import _body_accepts
-        from henoncert.intervals import Interval
 
         for w in out.failures[:5]:
             if "box" not in w:
@@ -160,19 +174,18 @@ class TestHomotopyHullContainment:
     def test_sampled_track_inside_hull(self, paper_hsets, h4, rng):
         # (1-t) f_c(p) + t (A p_u, 0) stays inside hull(Y_f, Y_A) per coordinate
         a = paper_hsets["a"]
-        A = linearization_at_center(h4, a, a)
-        fc = local_map(h4, a, a)
-        from henoncert.intervals import Interval
+        fc = h4.conjugated(a, a)
+        A = linearization_at_center(fc)
 
         # a part of the exit face with axis 0 pinned at +1
         F = Box([Interval(1, 1), Interval(-0.2, 0.0), Interval(0.3, 0.5)])
         Yf = fc.eval(F)
-        Ya = A.apply(F.coords[:2])
+        Ya = A @ Box(F.coords[:2])
         for _ in range(100):
             p = tuple(rng.uniform(c.lo, c.hi) for c in F)
             t = rng.uniform()
             fp = fc.eval(Box.from_point(p))  # tight enclosure of f_c(p)
-            ap = [sum(r[j] * p[j] for j in range(2)) for r in A.entries]
+            ap = [sum(r[j] * p[j] for j in range(2)) for r in A.midpoint()]
             for i in range(2):
                 track_lo = (1 - t) * fp[i].lo + t * ap[i]
                 track_hi = (1 - t) * fp[i].hi + t * ap[i]
@@ -184,7 +197,5 @@ class TestSoundnessMonotonicity:
     def test_bb_passes_at_paper_grid_and_finer(self, paper_hsets, h4):
         b = paper_hsets["b"]
         for grid in ((20, 20, 20), (25, 25, 25)):
-            cert = verify_covering(
-                h4, b, b, CoveringConfig(body_grid=grid, face_grid=(10, 10))
-            )
+            cert = verify_covering(h4.conjugated(b, b), grid, (10, 10))
             assert cert.passed, f"bb should pass at {grid}"

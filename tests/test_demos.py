@@ -1,0 +1,26 @@
+"""The quick demos run to completion against the library in `src`.
+
+Demos 04 (the cone condition at 25^3) and 05 (the full 60^3 certification)
+take too long for the test suite and are run by hand.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+QUICK = ["01_interval_basics.py", "02_folded_towel_attractor.py",
+         "03_covering_relation.py"]
+
+
+@pytest.mark.parametrize("demo", QUICK)
+def test_demo_runs(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -210,6 +210,6 @@ class TestParams:
         assert _exact_in(p.b, B_EXACT)
 
     def test_custom_decimals(self):
-        p = HenonParams.from_decimals("1.5", "0.25")
+        p = HenonParams("1.5", "0.25")
         assert p.a == Interval(1.5, 1.5)
         assert p.b == Interval(0.25, 0.25)

@@ -21,6 +21,13 @@ from henoncert.intervals import Interval, IntervalError
 from henoncert.linalg import subdivide_box
 
 
+def _toy(base):
+    """A toy map on the identity chart, u=2, s=1."""
+    N = make_hset("u", ["0", "0", "0"],
+                  [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    return IteratedMap(base).conjugated(N, N)
+
+
 def _hsets_u1_s2():
     """The shipped charts read with one exit and two entry directions."""
     return {
@@ -87,7 +94,7 @@ class TestConeMatrix:
 
 class TestToyMaps:
     def test_strong_expansion_contraction_passes(self):
-        f = IteratedMap(LinearMap.scaling(2.0, 2.0, 0.25))
+        f = _toy(LinearMap.scaling(2.0, 2.0, 0.25))
         cert = check_strong_hyperbolicity({"toy": f}, grid=(3, 3, 3))
         assert cert.passed
         out = cert.outcomes[0]
@@ -95,7 +102,7 @@ class TestToyMaps:
         assert out.positive_definite == 27
 
     def test_identity_fails_everywhere(self):
-        f = IteratedMap(LinearMap.identity())
+        f = _toy(LinearMap.identity())
         cert = check_strong_hyperbolicity({"toy": f}, grid=(2, 2, 2))
         assert not cert.passed
         assert cert.outcomes[0].failed == 8
@@ -105,6 +112,11 @@ class TestToyMaps:
         assert capped.outcomes[0].failed == 8
         assert capped.outcomes[0].failures == cert.outcomes[0].failures[:3]
 
+    def test_map_without_charts_raises(self):
+        f = IteratedMap(LinearMap.scaling(2.0, 2.0, 0.25))
+        with pytest.raises(IntervalError):
+            check_map_pair("toy", f, (2, 2, 2))
+
 
 class TestPaperMaps:
     def test_four_pairs_constructed(self, paper_hsets, h4):
@@ -113,7 +125,7 @@ class TestPaperMaps:
 
     def test_one_pair_small_grid_has_skips(self, paper_hsets, h4):
         pairs = paper_map_pairs(h4, paper_hsets)
-        out = check_map_pair("aa", pairs["aa"], (10, 10, 10), cone_quadratic_form())
+        out = check_map_pair("aa", pairs["aa"], (10, 10, 10))
         assert out.skipped_disjoint > 0
 
     def test_third_hset_is_not_paired(self, paper_hsets, h4):
@@ -130,11 +142,12 @@ class TestPaperMaps:
             paper_map_pairs(h4, mixed)
 
     def test_cone_form_follows_hsets(self, h4):
+        # u=1, s=2 charts: Q = diag(1, -1, -1) comes from the charts, so the
+        # bare check agrees with the driver (diag(1, 1, -1) certifies boxes
+        # that diag(1, -1, -1) does not)
         hs = _hsets_u1_s2()
-        got = run_hyperbolicity((2, 2, 2), hsets=hs).to_dict()
-        want = check_strong_hyperbolicity(
-            paper_map_pairs(h4, hs), (2, 2, 2), cone_quadratic_form(1, 2)
-        ).to_dict()
+        got = check_strong_hyperbolicity(paper_map_pairs(h4, hs), (4, 4, 4)).to_dict()
+        want = run_hyperbolicity((4, 4, 4), hsets=hs).to_dict()
         got.pop("wall_time"), want.pop("wall_time")
         assert got == want
 
@@ -249,15 +262,14 @@ class TestSkipAndPDSoundness:
 class TestMonotoneRefinement:
     def test_aa_passes_at_paper_grid_and_finer(self, paper_hsets, h4):
         pairs = paper_map_pairs(h4, paper_hsets)
-        Q = cone_quadratic_form()
         for grid in ((25, 25, 25), (30, 30, 30)):
-            out = check_map_pair("aa", pairs["aa"], grid, Q)
+            out = check_map_pair("aa", pairs["aa"], grid)
             assert out.passed, f"aa should pass at {grid}"
 
 
 class TestCertificates:
     def test_roundtrip(self):
-        f = IteratedMap(LinearMap.scaling(2.0, 2.0, 0.25))
+        f = _toy(LinearMap.scaling(2.0, 2.0, 0.25))
         cert = check_strong_hyperbolicity({"toy": f}, grid=(2, 2, 2))
         from henoncert import HyperbolicityCertificate
 
@@ -265,6 +277,6 @@ class TestCertificates:
         assert back.to_dict() == cert.to_dict()
 
     def test_grid_validation(self):
-        f = IteratedMap(LinearMap.identity())
+        f = _toy(LinearMap.identity())
         with pytest.raises(Exception):
             check_strong_hyperbolicity({"toy": f}, grid=(0, 1, 1))

@@ -17,12 +17,9 @@ from henoncert import (
     verify_covering,
 )
 from henoncert.cli import main
-from henoncert.covering import CoveringConfig
 from henoncert.drivers import run_all
 from henoncert.hsets import make_hset
 from henoncert.report import COVERING_CHAIN, symbolic_dynamics_statement
-
-SMALL = CoveringConfig(body_grid=(3, 3, 3), face_grid=(2, 2))
 
 
 def _toy_report(passed=True):
@@ -35,7 +32,7 @@ def _toy_report(passed=True):
                        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
         n1 = make_hset(j, ["0", "0", "0"],
                        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-        certs.append(verify_covering(f, n0, n1, SMALL))
+        certs.append(verify_covering(f.conjugated(n0, n1), (3, 3, 3), (2, 2)))
     a, b = make_paper_hsets()
     return ProofReport(
         map_params={"a": "1.76", "b": "0.1", "iterate": 4},
@@ -188,7 +185,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("case", [
         "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
-        "mixed-dims",
+        "mixed-dims", "u-negative", "u-zero",
     ])
     def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
         a, b = make_paper_hsets()
@@ -201,6 +198,9 @@ class TestCLI:
             defs["a"]["unstable"] = 1
         elif case == "mixed-dims":
             defs["b"]["u"], defs["b"]["s"] = 1, 2
+        elif case in ("u-negative", "u-zero"):  # u + s = 3, but no exit direction
+            for d in defs.values():
+                d["u"], d["s"] = (-1, 4) if case == "u-negative" else (0, 3)
         hpath = tmp_path / "hsets.json"
         if case != "unreadable":
             hpath.write_text("{a: 1" if case == "not-json" else json.dumps(defs))
