@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intervals import Box, Interval, IntervalError, from_decimal
-from .linalg import IMatrix
+from .intervals import Box, Interval, IntervalError, from_decimal, unchecked_box
+from .linalg import IMatrix, unchecked_matrix
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
@@ -59,7 +59,7 @@ class HenonMap:
         if X.dim != 3:
             raise IntervalError("Henon map acts on 3-dimensional boxes")
         x, y, z = X.coords
-        return Box([self.params.a - y.sqr() - self.params.b * z, x, y])
+        return unchecked_box((self.params.a - y.sqr() - self.params.b * z, x, y))
 
     def jacobian_box(self, X: Box) -> IMatrix:
         if X.dim != 3:
@@ -84,7 +84,7 @@ class HenonMap:
         m2y = X.coords[1].scale(-2.0)
         mb = -self.params.b
         r0, r1, r2 = J.rows
-        return IMatrix([[m2y * p + mb * q for p, q in zip(r1, r2)], r0, r1])
+        return unchecked_matrix((tuple(m2y * p + mb * q for p, q in zip(r1, r2)), r0, r1))
 
 
 class LinearMap:
@@ -117,7 +117,9 @@ class IteratedMap:
 
     With charts the action on a local box X is
         chart_post.local_from_world( base^k ( chart_pre.world_from_local(X) ) ).
-    Charts carry verified interval inverses, so every step keeps enclosure.
+    Charts carry the tightest enclosure of their exact-rational inverse, and the
+    chart maps and the Jacobian's chart products sum only over the nonzero
+    entries of M and M^-1, so every step keeps enclosure.
     """
 
     base: object
@@ -165,9 +167,9 @@ class IteratedMap:
         for w in boxes[1:-1]:
             J = self.base.jacobian_step(w, J)
         if self.chart_pre is not None:
-            J = J @ self.chart_pre.basis
+            J = self.chart_pre.times_basis(J)
         if self.chart_post is not None:
-            J = self.chart_post.basis_inv @ J
+            J = self.chart_post.inverse_times(J)
         return J
 
 

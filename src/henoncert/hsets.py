@@ -1,18 +1,25 @@
 """H-sets: affine charts with exit/entry structure.
 
 An h-set is the image of the cube B = [-1,1]^3 under p -> c + M p, with u
-exit (unstable) and s entry (stable) dimensions.  The chart inverse is stored
-as a verified interval enclosure, so both chart directions stay rigorous.
-Definitions round-trip through decimal strings for archival certificates.
+exit (unstable) and s entry (stable) dimensions.  `make_hset` computes M^-1
+exactly from the decimal definition with `fractions.Fraction` and stores the
+tightest interval around each entry: a point where the entry is a double (as
+the exact zeros are), else one ulp wide.  The chart maps and the chart products
+of a Jacobian sum only over the nonzero entries of M and M^-1, listed once per
+h-set; a dropped point-zero term is exactly 0, so both chart directions stay
+rigorous.  Definitions round-trip through decimal strings for archival
+certificates.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .intervals import Box, Interval, IntervalError, from_decimal
-from .linalg import IMatrix, inverse3
+from .intervals import Box, Interval, IntervalError, from_decimal, from_fraction, unchecked_box
+from .linalg import (IMatrix, inverse_exact, nonzero_entries, sparse_dot,
+                     unchecked_matrix)
 
 
 @dataclass(frozen=True)
@@ -24,6 +31,10 @@ class HSet:
     u: int
     s: int
     definition: tuple | None = None  # (center decimals, basis decimals) as given
+    # nonzero (index, entry) pairs of M's rows, M's columns and M^-1's rows
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _cols: tuple = field(init=False, repr=False, compare=False)
+    _inv_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.center.dim
@@ -31,8 +42,13 @@ class HSet:
             raise IntervalError(
                 f"need u >= 1, s >= 0 and u+s = {n}, got u={self.u}, s={self.s}"
             )
+        if any((m.nrows, m.ncols) != (n, n) for m in (self.basis, self.basis_inv)):
+            raise IntervalError(f"basis and its inverse must be {n}x{n} like the center")
         if not (self.basis @ self.basis_inv).contains(IMatrix.identity(n)):
             raise IntervalError("basis inverse fails the containment check")
+        object.__setattr__(self, "_rows", nonzero_entries(self.basis.rows))
+        object.__setattr__(self, "_cols", nonzero_entries(zip(*self.basis.rows)))
+        object.__setattr__(self, "_inv_rows", nonzero_entries(self.basis_inv.rows))
 
     @property
     def dim(self) -> int:
@@ -40,11 +56,31 @@ class HSet:
 
     def world_from_local(self, X: Box) -> Box:
         """c + M X, enclosed."""
-        return self.center + (self.basis @ X)
+        x = X.coords
+        if len(x) != self.dim:
+            raise IntervalError("box and chart dimensions differ")
+        return unchecked_box(tuple(
+            c + sparse_dot(r, x) for c, r in zip(self.center.coords, self._rows)
+        ))
 
     def local_from_world(self, Y: Box) -> Box:
         """M^-1 (Y - c), enclosed."""
-        return self.basis_inv @ (Y - self.center)
+        d = (Y - self.center).coords
+        return unchecked_box(tuple(sparse_dot(r, d) for r in self._inv_rows))
+
+    def times_basis(self, J: IMatrix) -> IMatrix:
+        """J @ M, enclosed: a world-domain Jacobian in this chart's coordinates."""
+        cols = self._cols
+        return unchecked_matrix(tuple(
+            tuple(sparse_dot(c, row) for c in cols) for row in J.rows
+        ))
+
+    def inverse_times(self, J: IMatrix) -> IMatrix:
+        """M^-1 @ J, enclosed: a world-range Jacobian in this chart's coordinates."""
+        cols = tuple(zip(*J.rows))
+        return unchecked_matrix(tuple(
+            tuple(sparse_dot(r, c) for c in cols) for r in self._inv_rows
+        ))
 
     def support(self) -> Box:
         """Interval hull of the support in world coordinates."""
@@ -101,14 +137,19 @@ class LocalFace:
 
 
 def make_hset(name: str, center_decimals, basis_decimals, u: int = 2, s: int = 1) -> HSet:
-    """Build an h-set from decimal strings, verifying the chart inverse."""
+    """Build an h-set from decimal strings, with the exact-rational chart inverse.
+
+    Raises SingularMatrixError for a singular basis and IntervalError when an
+    entry of the inverse is out of double range.
+    """
     center = Box([from_decimal(str(d)) for d in center_decimals])
     basis = IMatrix([[from_decimal(str(d)) for d in row] for row in basis_decimals])
+    exact = [[Fraction(str(d)) for d in row] for row in basis_decimals]  # parsed above
     return HSet(
         name=name,
         center=center,
         basis=basis,
-        basis_inv=inverse3(basis),
+        basis_inv=IMatrix([[from_fraction(q) for q in row] for row in inverse_exact(exact)]),
         u=u,
         s=s,
         definition=(
@@ -167,7 +208,10 @@ def hset_from_definition(name: str, d: dict) -> HSet:
     unknown = set(d) - {"center", "basis", "u", "s"}
     if unknown:
         raise IntervalError(f"h-set {name!r}: unknown keys {sorted(unknown)}")
-    return make_hset(name, d["center"], d["basis"], u=int(d.get("u", 2)), s=int(d.get("s", 1)))
+    u, s = d.get("u", 2), d.get("s", 1)
+    if type(u) is not int or type(s) is not int:  # bool, float, str
+        raise IntervalError(f"h-set {name!r}: u and s must be integers, got {u!r}, {s!r}")
+    return make_hset(name, d["center"], d["basis"], u=u, s=s)
 
 
 def load_hsets(path) -> dict:

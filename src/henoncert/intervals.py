@@ -3,15 +3,19 @@
 Every operation returns an interval that is guaranteed to contain the exact
 real result for all points of the operands.  Addition and subtraction use an
 exact error term (two-sum) so representable results stay tight; products are
-widened by one ulp on each side, which is always sound under round-to-nearest.
+widened by one ulp on each side, which is always sound under round-to-nearest,
+except scaling by a power of two, which is exact unless it leaves the normal
+range.  Rationals are enclosed tightly through `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 _INF = math.inf
+_TINY = sys.float_info.min  # smallest normal double
 _nextafter = math.nextafter
 _new = object.__new__
 
@@ -107,11 +111,17 @@ class Interval:
         return _checked(lo, _up(b * b))
 
     def scale(self, c: float) -> "Interval":
-        """Multiply by an exact float scalar."""
+        """Multiply by an exact float scalar.
+
+        A product by c = +-2^k is exact when it is zero or normal, so it is
+        widened only when c is not a power of two or a product is subnormal.
+        """
         p, q = c * self.lo, c * self.hi
         if p > q:
             p, q = q, p
-        return _checked(_down(p), _up(q))
+        if abs(math.frexp(c)[0]) != 0.5 or 0.0 < abs(p) < _TINY or 0.0 < abs(q) < _TINY:
+            p, q = _down(p), _up(q)
+        return _checked(p, q)
 
     # -- set operations ------------------------------------------------------
 
@@ -191,15 +201,39 @@ def from_decimal(literal: str) -> Interval:
         exact = Fraction(literal)
     except (ValueError, ZeroDivisionError) as e:
         raise IntervalError(f"not a decimal literal: {literal!r}") from e
-    f = float(exact)
+    return from_fraction(exact)
+
+
+def from_fraction(exact: Fraction) -> Interval:
+    """Tightest interval containing a rational: the point when it is a double,
+    else the one-ulp interval around it.  IntervalError out of double range.
+    """
+    try:
+        f = float(exact)
+    except OverflowError:
+        f = _INF
     if math.isinf(f):
-        raise IntervalError(f"literal out of double range: {literal!r}")
+        raise IntervalError(
+            f"value out of double range: about 2**"
+            f"{exact.numerator.bit_length() - exact.denominator.bit_length()}"
+        )
     r = Fraction(f)
     if r == exact:
         return Interval(f, f)
     if r > exact:
         return Interval(_down(f), f)
     return Interval(f, _up(f))
+
+
+def unchecked_box(coords: tuple) -> "Box":
+    """Box over a tuple of Intervals, skipping the per-coordinate check.
+
+    Only for coordinates that are already Intervals, such as the results of
+    interval operations; outside input goes through `Box(...)`.
+    """
+    box = _new(Box)
+    box.coords = coords
+    return box
 
 
 class Box:
@@ -247,12 +281,12 @@ class Box:
     def __add__(self, other: "Box") -> "Box":
         if self.dim != other.dim:
             raise IntervalError("dimension mismatch in box addition")
-        return Box([x + y for x, y in zip(self.coords, other.coords)])
+        return unchecked_box(tuple(x + y for x, y in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Box") -> "Box":
         if self.dim != other.dim:
             raise IntervalError("dimension mismatch in box subtraction")
-        return Box([x - y for x, y in zip(self.coords, other.coords)])
+        return unchecked_box(tuple(x - y for x, y in zip(self.coords, other.coords)))
 
     def contains_point(self, p) -> bool:
         return all(c.contains_point(v) for c, v in zip(self.coords, p))

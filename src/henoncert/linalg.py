@@ -1,23 +1,38 @@
 """Rigorous interval vectors and small matrices.
 
-Products, determinants, the closed-form 3x3 inverse, Sylvester's criterion on
-interval matrices, and deterministic box subdivision.  Everything propagates
-outward rounding from the interval kernel, so results enclose the exact values
-for every member matrix.
+Products (dense, and sparse over a matrix's nonzero entries), determinants,
+the closed-form 3x3 interval inverse, the exact-rational inverse, Sylvester's
+criterion on interval matrices, and deterministic box subdivision.  Everything
+propagates outward rounding from the interval kernel, so results enclose the
+exact values for every member matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from .intervals import Box, Interval, IntervalError
+from .intervals import Box, Interval, IntervalError, unchecked_box
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
+_new = object.__new__
 
 
 class SingularMatrixError(ArithmeticError):
-    """The interval determinant contains zero; no rigorous inverse exists."""
+    """The matrix is singular, or its interval determinant contains zero, so
+    no rigorous inverse exists."""
+
+
+def unchecked_matrix(rows: tuple) -> "IMatrix":
+    """IMatrix over a tuple of equal-length tuples of Intervals, unchecked.
+
+    Only for entries that are already Intervals, such as the results of
+    interval operations; outside input goes through `IMatrix(...)`.
+    """
+    m = _new(IMatrix)
+    m.rows = rows
+    return m
 
 
 class IMatrix:
@@ -100,13 +115,13 @@ class IMatrix:
         if isinstance(other, Box):
             if self.ncols != other.dim:
                 raise IntervalError("matrix/vector dimension mismatch")
-            return Box([_dot(row, other.coords) for row in self.rows])
+            return unchecked_box(tuple(_dot(row, other.coords) for row in self.rows))
         if isinstance(other, IMatrix):
             if self.ncols != other.nrows:
                 raise IntervalError("matrix dimension mismatch")
-            cols = list(zip(*other.rows))
-            return IMatrix(
-                [[_dot(row, col) for col in cols] for row in self.rows]
+            cols = tuple(zip(*other.rows))
+            return unchecked_matrix(
+                tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
             )
         return NotImplemented
 
@@ -125,6 +140,29 @@ def _dot(u, v):
     acc = u[0] * v[0]
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
+    return acc
+
+
+def nonzero_entries(rows) -> tuple:
+    """Per row, the (index, entry) pairs whose entry is not the point 0.
+
+    Dropping a point-zero term from a sum of products is exact, since 0*x = 0
+    for finite x, so `sparse_dot` over these pairs still encloses every
+    product.  `sparse_dot` needs a nonzero entry in every row, as the rows
+    and columns of an invertible matrix have.
+    """
+    return tuple(
+        tuple((j, e) for j, e in enumerate(row) if e.lo != 0.0 or e.hi != 0.0)
+        for row in rows
+    )
+
+
+def sparse_dot(pairs, v) -> Interval:
+    """sum_j m * v[j] over the (j, m) pairs of `nonzero_entries`, in order."""
+    j, m = pairs[0]
+    acc = m * v[j]
+    for j, m in pairs[1:]:
+        acc = acc + m * v[j]
     return acc
 
 
@@ -171,6 +209,30 @@ def inverse3(A: IMatrix) -> IMatrix:
     return IMatrix(
         [[cof(j, i) * inv_d for j in range(3)] for i in range(3)]
     )
+
+
+def inverse_exact(rows) -> list:
+    """Exact inverse of a square matrix of Fractions, by Gauss-Jordan.
+
+    Raises SingularMatrixError when the matrix is singular.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise IntervalError("the inverse requires a square matrix")
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if p is None:
+            raise SingularMatrixError("the matrix is singular")
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [v / pivot for v in aug[c]]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f != 0:
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return [r[n:] for r in aug]
 
 
 def _reciprocal(x: Interval) -> Interval:

@@ -1,14 +1,36 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from henoncert import Box, IMatrix, Interval, make_hset, make_paper_hsets
-from henoncert.hsets import load_hsets, save_hsets
+from henoncert import (Box, HSet, IMatrix, Interval, SingularMatrixError,
+                       inverse3, make_hset, make_paper_hsets)
+from henoncert.hsets import (HSET_A_DEFINITION, HSET_B_DEFINITION,
+                             hset_from_definition, load_hsets, save_hsets)
 from henoncert.intervals import IntervalError
+from test_henon import _dyadic_point, _inverse_exact
+from test_hyperbolicity import _width, _within_an_ulp
+
+DEFINITIONS = {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}
 
 
 def _exact_in(iv, frac):
     return Fraction(iv.lo) <= frac <= Fraction(iv.hi)
+
+
+def exact_chart(name):
+    """(c, M, M^-1) of a shipped h-set, as Fractions."""
+    d = DEFINITIONS[name]
+    M = [[Fraction(v) for v in r] for r in d["basis"]]
+    return [Fraction(v) for v in d["center"]], M, _inverse_exact(M)
+
+
+def world_exact(c, M, p):
+    return [c[i] + sum(M[i][k] * p[k] for k in range(3)) for i in range(3)]
+
+
+def local_exact(c, Minv, w):
+    return [sum(Minv[i][k] * (w[k] - c[k]) for k in range(3)) for i in range(3)]
 
 
 class TestPaperHSets:
@@ -36,6 +58,74 @@ class TestPaperHSets:
         a, b = make_paper_hsets()
         for h in (a, b):
             assert (h.basis @ h.basis_inv).contains(IMatrix.identity(3))
+
+
+class TestExactCharts:
+    """The exact-rational chart inverse and the sparse chart maps, against
+    exact rational oracles and the dense interval products they replace."""
+
+    def test_inverse_is_tightest_enclosure(self, paper_hsets):
+        for name, h in paper_hsets.items():
+            _, M, Minv = exact_chart(name)
+            dense = inverse3(h.basis)
+            zeros = 0
+            for i in range(3):
+                for j in range(3):
+                    e = h.basis_inv[i, j]
+                    assert _exact_in(e, Minv[i][j])
+                    assert e.hi in (e.lo, math.nextafter(e.lo, math.inf))
+                    assert e.subset_of(dense[i, j])
+                    if Minv[i][j] == 0:
+                        assert e == Interval(0.0, 0.0)
+                        zeros += 1
+            assert zeros == 4
+
+    def test_chart_maps_enclose_exact_rational(self, paper_hsets, rng):
+        # dyadic points are exact doubles, so no tolerance is needed
+        for name, h in paper_hsets.items():
+            c, M, Minv = exact_chart(name)
+            for _ in range(50):
+                p = _dyadic_point(rng)
+                W = h.world_from_local(Box.from_point([float(v) for v in p]))
+                for iv, e in zip(W, world_exact(c, M, p)):
+                    assert _exact_in(iv, e)
+                w = [2 * v for v in p]
+                L = h.local_from_world(Box.from_point([float(v) for v in w]))
+                for iv, e in zip(L, local_exact(c, Minv, w)):
+                    assert _exact_in(iv, e)
+
+    # The kernel's sum is not inclusion-monotone (see TestDenseReference), so
+    # a sparse bound can round one ulp past the dense one that summed an extra
+    # [-5e-324, 5e-324]; on the whole the sparse products are narrower.
+
+    def test_sparse_within_dense_products(self, paper_hsets, rng):
+        widths = {"sparse": 0.0, "dense": 0.0}
+        for h in paper_hsets.values():
+            for _ in range(100):
+                lo = rng.uniform(-1, 0.8, size=3)
+                X = Box([Interval(v, v + rng.uniform(0, 0.2)) for v in lo])
+                for sparse, dense in [
+                    (h.world_from_local(X), h.center + (h.basis @ X)),
+                    (h.local_from_world(X), h.basis_inv @ (X - h.center)),
+                ]:
+                    outer, inner = IMatrix([dense.coords]), IMatrix([sparse.coords])
+                    assert _within_an_ulp(outer, inner)
+                    widths["sparse"] += _width(inner)
+                    widths["dense"] += _width(outer)
+        assert widths["sparse"] < widths["dense"]
+
+    def test_sparse_jacobian_products_within_dense(self, paper_hsets, h4, rng):
+        widths = {"sparse": 0.0, "dense": 0.0}
+        for h in paper_hsets.values():
+            for _ in range(20):
+                lo = rng.uniform(-1, 0.8, size=3)
+                J = h4.jacobian(Box([Interval(v, v + 0.2) for v in lo]))
+                for sparse, dense in [(h.times_basis(J), J @ h.basis),
+                                      (h.inverse_times(J), h.basis_inv @ J)]:
+                    assert _within_an_ulp(dense, sparse)
+                    widths["sparse"] += _width(sparse)
+                    widths["dense"] += _width(dense)
+        assert widths["sparse"] < widths["dense"]
 
 
 class TestChartMaps:
@@ -88,12 +178,26 @@ class TestExitFaces:
 
 class TestConstructionErrors:
     def test_singular_basis_aborts(self):
-        with pytest.raises(Exception):
-            make_hset(
-                "bad",
-                ["0", "0", "0"],
-                [["1", "0", "0"], ["2", "0", "0"], ["0", "0", "1"]],
-            )
+        for basis in ([["1", "0", "0"], ["2", "0", "0"], ["0", "0", "1"]],
+                      [["0.1", "0.2", "0"], ["0.3", "0.6", "0"], ["0", "0", "1"]]):
+            with pytest.raises(SingularMatrixError):
+                make_hset("bad", ["0", "0", "0"], basis)
+
+    def test_chart_matrices_must_be_square(self):
+        a, _ = make_paper_hsets()
+        cut = IMatrix([r[:2] for r in a.basis_inv.rows])  # passes `contains`
+        with pytest.raises(IntervalError):
+            HSet("bad", a.center, a.basis, cut, a.u, a.s)
+
+    def test_inverse_out_of_double_range(self):
+        with pytest.raises(IntervalError):
+            make_hset("bad", ["0", "0", "0"],
+                      [["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+
+    @pytest.mark.parametrize("u, s", [(2.7, True), (2.0, 1), (2, True), ("2", 1), (None, 1)])
+    def test_u_and_s_must_be_integers(self, u, s):
+        with pytest.raises(IntervalError):
+            hset_from_definition("a", {**HSET_A_DEFINITION, "u": u, "s": s})
 
     def test_bad_dimensions(self):
         with pytest.raises(IntervalError):

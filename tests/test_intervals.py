@@ -40,6 +40,24 @@ class TestArithmetic:
         r = I(1, 2).scale(-3.0)
         assert r.lo <= -6 <= -3 <= r.hi
 
+    def test_scale_by_power_of_two_is_exact(self):
+        for x, c in [(I(1.5, 3.25), -2.0), (I(-0.1, 0.3), 0.25),
+                     (I(0.0, 1e-300), 2.0 ** 600), (I(-1e300, -3.0), 2.0 ** -900),
+                     (I(5e-324, 1e-310), 2.0 ** 60)]:  # subnormal operands, normal products
+            r = x.scale(c)
+            lo, hi = sorted((Fraction(x.lo) * Fraction(c), Fraction(x.hi) * Fraction(c)))
+            assert (Fraction(r.lo), Fraction(r.hi)) == (lo, hi)
+
+    def test_scale_into_subnormals_widens(self):
+        tiny = math.ldexp(1.0 + 2.0 ** -52, -1022)  # normal; half of it is not a double
+        for x in (I(tiny, tiny), I(-tiny, 1.0), I(3 * 5e-324, 3 * 5e-324)):
+            r = x.scale(0.5)
+            assert contains_exact(r, Fraction(x.lo) / 2)
+            assert contains_exact(r, Fraction(x.hi) / 2)
+            assert r.lo < r.hi
+        with pytest.raises(EnclosureError):
+            I(1.0, 1e308).scale(2.0)
+
     def test_invalid_construction(self):
         with pytest.raises(IntervalError):
             I(2, 1)
@@ -74,6 +92,12 @@ class TestFromDecimal:
     def test_malformed(self):
         with pytest.raises(IntervalError):
             from_decimal("not-a-number")
+
+    def test_out_of_double_range(self):
+        for literal in ("1e400", "-2e308"):
+            with pytest.raises(IntervalError):
+                from_decimal(literal)
+        assert from_decimal("1e-400") == I(0.0, 5e-324)
 
 
 class TestSetOps:

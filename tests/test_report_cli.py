@@ -185,7 +185,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("case", [
         "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
-        "mixed-dims", "u-negative", "u-zero",
+        "mixed-dims", "u-negative", "u-zero", "u-float", "s-bool", "u-string",
+        "inverse-overflow",
     ])
     def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
         a, b = make_paper_hsets()
@@ -201,6 +202,11 @@ class TestCLI:
         elif case in ("u-negative", "u-zero"):  # u + s = 3, but no exit direction
             for d in defs.values():
                 d["u"], d["s"] = (-1, 4) if case == "u-negative" else (0, 3)
+        elif case in ("u-float", "s-bool", "u-string"):  # int() would read u=2, s=1
+            defs["a"].update({"u-float": {"u": 2.7}, "s-bool": {"s": True},
+                              "u-string": {"u": "2"}}[case])
+        elif case == "inverse-overflow":
+            defs["a"]["basis"] = [["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         hpath = tmp_path / "hsets.json"
         if case != "unreadable":
             hpath.write_text("{a: 1" if case == "not-json" else json.dumps(defs))
