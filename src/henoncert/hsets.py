@@ -70,6 +70,8 @@ class HSet:
 
     def times_basis(self, J: IMatrix) -> IMatrix:
         """J @ M, enclosed: a world-domain Jacobian in this chart's coordinates."""
+        if J.ncols != self.dim:
+            raise IntervalError("matrix and chart dimensions differ")
         cols = self._cols
         return unchecked_matrix(tuple(
             tuple(sparse_dot(c, row) for c in cols) for row in J.rows
@@ -77,6 +79,8 @@ class HSet:
 
     def inverse_times(self, J: IMatrix) -> IMatrix:
         """M^-1 @ J, enclosed: a world-range Jacobian in this chart's coordinates."""
+        if J.nrows != self.dim:
+            raise IntervalError("matrix and chart dimensions differ")
         cols = tuple(zip(*J.rows))
         return unchecked_matrix(tuple(
             tuple(sparse_dot(r, c) for c in cols) for r in self._inv_rows

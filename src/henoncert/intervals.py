@@ -113,14 +113,17 @@ class Interval:
     def scale(self, c: float) -> "Interval":
         """Multiply by an exact float scalar.
 
-        A product by c = +-2^k is exact when it is zero or normal, so it is
-        widened only when c is not a power of two or a product is subnormal.
+        A product by c = +-2^k is exact when it is normal, or zero from a zero
+        operand, so it is widened unless c is a power of two and each product
+        is one of those; a nonzero operand may underflow to a subnormal or 0.
         """
-        p, q = c * self.lo, c * self.hi
-        if p > q:
+        lo, hi = self.lo, self.hi
+        p, q = c * lo, c * hi
+        if (abs(math.frexp(c)[0]) != 0.5
+                or (abs(p) < _TINY and lo != 0.0) or (abs(q) < _TINY and hi != 0.0)):
+            p, q = _down(min(p, q)), _up(max(p, q))
+        elif p > q:
             p, q = q, p
-        if abs(math.frexp(c)[0]) != 0.5 or 0.0 < abs(p) < _TINY or 0.0 < abs(q) < _TINY:
-            p, q = _down(p), _up(q)
         return _checked(p, q)
 
     # -- set operations ------------------------------------------------------
@@ -201,7 +204,10 @@ def from_decimal(literal: str) -> Interval:
         exact = Fraction(literal)
     except (ValueError, ZeroDivisionError) as e:
         raise IntervalError(f"not a decimal literal: {literal!r}") from e
-    return from_fraction(exact)
+    try:
+        return from_fraction(exact)
+    except IntervalError as e:
+        raise IntervalError(f"literal out of double range: {literal!r}") from e
 
 
 def from_fraction(exact: Fraction) -> Interval:
@@ -210,13 +216,11 @@ def from_fraction(exact: Fraction) -> Interval:
     """
     try:
         f = float(exact)
-    except OverflowError:
-        f = _INF
-    if math.isinf(f):
+    except OverflowError as e:
         raise IntervalError(
             f"value out of double range: about 2**"
             f"{exact.numerator.bit_length() - exact.denominator.bit_length()}"
-        )
+        ) from e
     r = Fraction(f)
     if r == exact:
         return Interval(f, f)

@@ -189,6 +189,17 @@ class TestConstructionErrors:
         with pytest.raises(IntervalError):
             HSet("bad", a.center, a.basis, cut, a.u, a.s)
 
+    def test_chart_products_check_dimensions(self):
+        a, _ = make_paper_hsets()
+        wide = IMatrix([list(r) + [r[0]] for r in a.basis.rows])  # 3x4
+        with pytest.raises(IntervalError):
+            a.times_basis(wide)
+        with pytest.raises(IntervalError):
+            a.inverse_times(wide.transpose())
+        # only the inner dimension must match the chart
+        assert a.times_basis(IMatrix(a.basis.rows[:2])).nrows == 2
+        assert a.inverse_times(IMatrix([r[:2] for r in a.basis.rows])).ncols == 2
+
     def test_inverse_out_of_double_range(self):
         with pytest.raises(IntervalError):
             make_hset("bad", ["0", "0", "0"],

@@ -1,10 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from henoncert import Box, EnclosureError, Interval, IntervalError, from_decimal
+from henoncert.intervals import from_fraction
 
 I = Interval
 
@@ -50,10 +52,13 @@ class TestArithmetic:
 
     def test_scale_into_subnormals_widens(self):
         tiny = math.ldexp(1.0 + 2.0 ** -52, -1022)  # normal; half of it is not a double
-        for x in (I(tiny, tiny), I(-tiny, 1.0), I(3 * 5e-324, 3 * 5e-324)):
-            r = x.scale(0.5)
-            assert contains_exact(r, Fraction(x.lo) / 2)
-            assert contains_exact(r, Fraction(x.hi) / 2)
+        for x, c in [(I(tiny, tiny), 0.5), (I(-tiny, 1.0), 0.5), (I(3 * 5e-324, 3 * 5e-324), 0.5),
+                     # nonzero operands whose products round to zero
+                     (I(5e-324, 5e-324), 0.5), (I(1e-300, 1e-300), 2.0 ** -900),
+                     (I(-1e-300, 0.0), -(2.0 ** -900))]:
+            r = x.scale(c)
+            assert contains_exact(r, Fraction(x.lo) * Fraction(c))
+            assert contains_exact(r, Fraction(x.hi) * Fraction(c))
             assert r.lo < r.hi
         with pytest.raises(EnclosureError):
             I(1.0, 1e308).scale(2.0)
@@ -95,8 +100,13 @@ class TestFromDecimal:
 
     def test_out_of_double_range(self):
         for literal in ("1e400", "-2e308"):
-            with pytest.raises(IntervalError):
+            with pytest.raises(IntervalError, match=literal):
                 from_decimal(literal)
+        top = Fraction(sys.float_info.max)
+        for exact in (top + 1, Fraction(2 ** 1024 - 2 ** 970)):  # above the largest double
+            with pytest.raises(IntervalError):
+                from_fraction(exact)
+        assert from_fraction(top - 1).hi == sys.float_info.max
         assert from_decimal("1e-400") == I(0.0, 5e-324)
 
 

@@ -186,7 +186,7 @@ class TestCLI:
     @pytest.mark.parametrize("case", [
         "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
         "mixed-dims", "u-negative", "u-zero", "u-float", "s-bool", "u-string",
-        "inverse-overflow",
+        "inverse-overflow", "literal-overflow",
     ])
     def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
         a, b = make_paper_hsets()
@@ -207,6 +207,8 @@ class TestCLI:
                               "u-string": {"u": "2"}}[case])
         elif case == "inverse-overflow":
             defs["a"]["basis"] = [["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        elif case == "literal-overflow":
+            defs["a"]["center"][0] = "1e400"
         hpath = tmp_path / "hsets.json"
         if case != "unreadable":
             hpath.write_text("{a: 1" if case == "not-json" else json.dumps(defs))
@@ -216,6 +218,8 @@ class TestCLI:
         ])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        if case == "literal-overflow":
+            assert "'1e400'" in err
 
     @pytest.mark.parametrize("case", [
         "not-json", "malformed", "pre-change", "missing-hset",
