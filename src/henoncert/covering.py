@@ -17,7 +17,13 @@ run over subdivisions of the local cube B = [-1,1]^3:
     outside the unit square.
 
 All comparisons against 1 are strict and taken on outward-rounded bounds, so
-a pass is rigorous; a failure is an outcome, not an error.
+a pass is rigorous; a failure is an outcome, not an error.  `sweep` decides
+each cell of a grid by its own enclosure or by that of a block of cells
+containing it: a block is accepted when its image satisfies condition I's
+first disjunct (so no cell's name can change) or condition II's exit test.
+That is sound, since the block's enclosure contains each cell's image; it can
+differ from a cell-by-cell check only toward acceptance, and only where the
+interval kernel is not inclusion-monotone.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .henon import IteratedMap
 from .intervals import Box, Interval
-from .linalg import IMatrix, subdivide_box
+from .linalg import IMatrix
 from .sweep import MAX_WITNESSES, UNIT, Record, sweep
 
 BODY_GRID = (20, 20, 20)  # shipped condition I grid
@@ -96,11 +102,14 @@ def check_condition_I(fc: IteratedMap, body_grid, cap: int) -> ConditionISummary
     """Spanning check over the body grid; lists the first `cap` failing sub-boxes."""
     u = fc.charts()[0].u
 
-    def body(P):
+    def body(P, _, cell):
         Y = fc.eval(P)
-        return _body_accepts(Y, u) or {"box": P.endpoints(), "image": Y.endpoints()}
+        name = _body_accepts(Y, u)
+        if not cell:  # a block: only the first disjunct names all its cells
+            return name if name == "outside_unstable" else None
+        return name or {"box": P.endpoints(), "image": Y.endpoints()}
 
-    counts, failures = sweep(subdivide_box(UNIT, body_grid), body, cap)
+    counts, failures = sweep(UNIT, body_grid, body, cap)
     return ConditionISummary(
         checked=sum(counts.values()), failures=failures, **counts
     )
@@ -116,11 +125,13 @@ def check_condition_II(
     N0 = fc.charts()[0]
     u = N0.u
 
-    def exits(F):
+    def exits(F, _, cell):
         Ya = A @ Box(F.coords[:u])
         Yf = fc.eval(F)
         if any(Yf[i].hull(Ya[i]).mig() > 1.0 for i in range(u)):
             return "exits"
+        if not cell:
+            return None
         return {
             "box": F.endpoints(),
             "image": Yf.endpoints(),
@@ -132,9 +143,7 @@ def check_condition_II(
         grid = [1] * face.dim
         for axis, m in zip(face.free_axes(), face_grid):
             grid[axis] = m
-        counts, failures = sweep(
-            subdivide_box(face.extent(), grid), exits, cap - len(out.failures)
-        )
+        counts, failures = sweep(face.extent(), grid, exits, cap - len(out.failures))
         out.failed += counts["failed"]
         out.failures += [
             {"face_axis": face.axis, "face_sign": face.sign, **w} for w in failures

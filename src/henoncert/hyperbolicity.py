@@ -5,6 +5,14 @@ the interval image [f(B_i)] misses B entirely (B_i cannot meet the invariant
 set, so it is skipped), or Df(B_i)^T Q Df(B_i) - Q must be verifiably positive
 definite with Q = diag(Id_u, -Id_s), u and s read from f's charts.  A pass
 for all four map pairs yields uniform hyperbolicity of the invariant set.
+
+`sweep` decides each sub-box by its own enclosure or by that of a block of
+sub-boxes containing it: a block whose image misses B skips all of them, and
+a block whose cone matrix is positive definite passes that fact down, so its
+sub-boxes run only the skip test.  That is sound, since the block's image and
+Jacobian enclosures contain each sub-box's; it can differ from a box-by-box
+check only toward acceptance, and only where the interval kernel is not
+inclusion-monotone.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from .linalg import (
     IMatrix,
     is_positive_definite,
     leading_minor_lower_bounds,
-    subdivide_box,
 )
 from .sweep import MAX_WITNESSES, UNIT, Record, fan_out, sweep
 
@@ -94,21 +101,23 @@ def check_map_pair(
     N0 = f.charts()[0]  # `conjugated` made both charts share (u, s)
     Q = cone_quadratic_form(N0.u, N0.s)
 
-    def skip_or_pd(Bi):
+    def skip_or_pd(Bi, pd, cell):
         orbit = f.orbit(Bi)
         if f.eval(Bi, orbit).is_disjoint(UNIT):
             return "skipped_disjoint"
-        S = cone_matrix(f.jacobian(Bi, orbit), Q)
-        if is_positive_definite(S):
+        if not pd:
+            S = cone_matrix(f.jacobian(Bi, orbit), Q)
+            pd = is_positive_definite(S)
+        if not cell:
+            return pd  # the hint: every sub-box is PD, or not known to be
+        if pd:
             return "positive_definite"
         return {
             "box": Bi.endpoints(),
             "minor_lower_bounds": list(leading_minor_lower_bounds(S)),
         }
 
-    counts, failures = sweep(
-        subdivide_box(UNIT, grid), skip_or_pd, max_failures_reported
-    )
+    counts, failures = sweep(UNIT, grid, skip_or_pd, max_failures_reported)
     return MapPairOutcome(label=label, failures=failures, **counts)
 
 

@@ -296,6 +296,8 @@ class Box:
         return all(c.contains_point(v) for c, v in zip(self.coords, p))
 
     def contains_box(self, other: "Box") -> bool:
+        if self.dim != other.dim:
+            raise IntervalError("dimension mismatch in box containment")
         return all(o.subset_of(c) for c, o in zip(self.coords, other.coords))
 
     def is_disjoint(self, other: "Box") -> bool:

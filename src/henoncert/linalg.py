@@ -87,7 +87,7 @@ class IMatrix:
         return f"IMatrix({[[ (e.lo, e.hi) for e in r] for r in self.rows]})"
 
     def __add__(self, other: "IMatrix") -> "IMatrix":
-        self._conformable_add(other)
+        self._same_shape(other)
         return IMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
@@ -96,7 +96,7 @@ class IMatrix:
         )
 
     def __sub__(self, other: "IMatrix") -> "IMatrix":
-        self._conformable_add(other)
+        self._same_shape(other)
         return IMatrix(
             [
                 [a - b for a, b in zip(ra, rb)]
@@ -104,7 +104,7 @@ class IMatrix:
             ]
         )
 
-    def _conformable_add(self, other):
+    def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise IntervalError("matrix shape mismatch")
 
@@ -129,6 +129,9 @@ class IMatrix:
         return [[e.mid() for e in r] for r in self.rows]
 
     def contains(self, other: "IMatrix") -> bool:
+        """Whether each entry of `other` lies in this matrix's entry;
+        IntervalError unless the shapes agree."""
+        self._same_shape(other)
         return all(
             o.subset_of(e)
             for re, ro in zip(self.rows, other.rows)
@@ -261,12 +264,17 @@ def is_positive_definite(S: IMatrix) -> bool:
     return all(lo > 0.0 for lo in leading_minor_lower_bounds(S))
 
 
-def subdivide_box(X: Box, grid) -> "itertools.product":
-    """Deterministic row-major cover of X by per-dimension split counts."""
+def grid_pieces(X: Box, grid) -> list:
+    """Per axis, the `Interval.split` pieces of X's coordinate by the grid's
+    split count; a cell of the grid takes one piece per axis."""
     grid = tuple(int(g) for g in grid)
     if len(grid) != X.dim:
         raise IntervalError("grid length must match box dimension")
     if any(g < 1 for g in grid):
         raise IntervalError(f"grid counts must be >= 1, got {grid}")
-    axis_pieces = [c.split(g) for c, g in zip(X.coords, grid)]
-    return (Box(combo) for combo in itertools.product(*axis_pieces))
+    return [c.split(g) for c, g in zip(X.coords, grid)]
+
+
+def subdivide_box(X: Box, grid) -> "itertools.product":
+    """Deterministic row-major cover of X by per-dimension split counts."""
+    return (Box(combo) for combo in itertools.product(*grid_pieces(X, grid)))

@@ -1,40 +1,82 @@
 """The one sweep behind all three per-box checks, their shared record type,
 and the one fan-out of independent checks over worker processes.
 
-A check is a predicate on one sub-box of the local cube B = [-1,1]^3: it
-returns the name of the way the box was accepted, or a dict describing why it
-was not.  `sweep` counts both and keeps only the first witnesses, so output
-stays bounded whatever the grid.
+A check is a predicate on the cells of a grid over a box, such as the local
+cube B = [-1,1]^3: it names the way a cell was accepted, or returns a dict
+describing why it was not.  `sweep` decides whole blocks of cells with one
+enclosure where it can, counts every cell and keeps only the failing cells
+with the smallest indices as witnesses, so output stays bounded whatever the
+grid.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from concurrent import futures
 from dataclasses import asdict, fields
+from math import prod
 from typing import get_args, get_origin, get_type_hints
 
-from .intervals import Box
+from .intervals import Box, Interval
+from .linalg import grid_pieces
 
 UNIT = Box.cube(-1.0, 1.0, 3)
 MAX_WITNESSES = 20  # shipped cap on the failing boxes each check lists
 
 
-def sweep(boxes, predicate, max_witnesses: int):
-    """(counts by acceptance name plus "failed", first failing boxes as witnesses).
+def sweep(X: Box, grid, predicate, max_witnesses: int):
+    """(counts by acceptance name plus "failed", the failing cells with the
+    `max_witnesses` smallest indices as witnesses, in ascending order).
 
-    Boxes are visited in the given (row-major) order; each witness is
-    {"index": position in that order, **the predicate's detail}.
+    The cells are those of `subdivide_box(X, grid)`, bit for bit, and a
+    cell's index is its position in that row-major order.  A coarse-to-fine
+    descent visits blocks, each the exact hull of a range of cells per axis,
+    starting from the whole grid.  `predicate(box, hint, cell)` gets the
+    block's box, the hint its parent block returned (None for the whole
+    grid), and whether the box is a single cell.  It returns the name under
+    which every cell of the box is accepted; for a single cell, otherwise, a
+    dict of why it failed; for a larger block, otherwise, the hint passed to
+    its two halves.  The split is on the axis with the most cells (the lowest
+    axis on ties), at the floor midpoint of its range.
+
+    A cell is thus decided by its own enclosure or by that of a block
+    containing it.  That is sound: the block's enclosure contains the image
+    of each of its cells.  It can differ from a cell-by-cell sweep only
+    toward acceptance, and only where the interval kernel is not
+    inclusion-monotone, since a cell's own bound can then lie a few ulps
+    outside the block's.  Each witness is {"index": the cell's index,
+    **the predicate's detail}.
     """
-    counts, witnesses = Counter(), []
-    for index, box in enumerate(boxes):
-        verdict = predicate(box)
+    pieces = grid_pieces(X, grid)
+    sizes = [len(p) for p in pieces]
+    counts, heap = Counter(), []  # heap: (-index, witness), the smallest indices
+
+    def visit(ranges, hint):
+        cells = prod(hi - lo for lo, hi in ranges)
+        box = Box([Interval(p[lo].lo, p[hi - 1].hi)
+                   for p, (lo, hi) in zip(pieces, ranges)])
+        verdict = predicate(box, hint, cells == 1)
         if isinstance(verdict, str):
-            counts[verdict] += 1
-            continue
-        counts["failed"] += 1
-        if len(witnesses) < max_witnesses:
-            witnesses.append({"index": index, **verdict})
+            counts[verdict] += cells
+        elif cells == 1:
+            counts["failed"] += 1
+            index = 0
+            for (lo, _), n in zip(ranges, sizes):
+                index = index * n + lo
+            if len(heap) < max_witnesses:
+                heapq.heappush(heap, (-index, verdict))
+            elif heap and index < -heap[0][0]:
+                heapq.heapreplace(heap, (-index, verdict))
+        else:
+            axis = max(range(len(ranges)), key=lambda k: ranges[k][1] - ranges[k][0])
+            lo, hi = ranges[axis]
+            mid = (lo + hi) // 2
+            for half in ((lo, mid), (mid, hi)):
+                visit(ranges[:axis] + (half,) + ranges[axis + 1:], verdict)
+
+    visit(tuple((0, n) for n in sizes), None)
+    witnesses = [{"index": -i, **w} for i, w in sorted(heap, reverse=True)]
     return counts, witnesses
 
 

@@ -239,6 +239,11 @@ class TestBox:
         assert u.contains_point((0, 0.5, -1))
         assert u.contains_box(Box.cube(-0.5, 0.5, 3))
 
+    @pytest.mark.parametrize("outer, inner", [(3, 2), (2, 3)])
+    def test_contains_box_dimension_mismatch(self, outer, inner):
+        with pytest.raises(IntervalError):
+            Box.cube(-1, 1, outer).contains_box(Box.cube(0, 0, inner))
+
     def test_add_sub_roundtrip(self):
         u = Box.cube(-1, 1, 3)
         c = Box.from_point((1, 2, 3))

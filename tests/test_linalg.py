@@ -51,6 +51,11 @@ class TestMatOps:
         with pytest.raises(IntervalError):
             IMatrix.identity(3) @ IMatrix.identity(2)
 
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+    def test_contains_shape_mismatch(self, n, m):
+        with pytest.raises(IntervalError):
+            IMatrix.identity(n).contains(IMatrix.identity(m))
+
     def test_product_enclosure_random_members(self, rng):
         for _ in range(50):
             lo = rng.uniform(-2, 2, size=(3, 3))
