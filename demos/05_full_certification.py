@@ -1,20 +1,21 @@
 """End-to-end: both certificates, one report, and its consequences.
 
 Equivalent CLI run:
-  henoncert verify-all --body-grid 60,60,60
+  henoncert verify-all
   henoncert periodic-orbits abba
 
-The 60^3 body grid is what the naive interval kernel needs for the a => a
-spanning check; the other relations pass at 20^3 already.
+At the shipped grids (20^3 body, 10x10 faces, 25^3 cone) all four covering
+relations and the cone condition are certified: condition I falls back on
+the mean-value form where the natural interval image decides nothing.
 
-Run:  python3 demos/05_full_certification.py   (takes a minute or two)
+Run:  python3 demos/05_full_certification.py
 """
 
 from henoncert import make_paper_hsets, periodic_orbit_consequence
 from henoncert.drivers import run_all
 from henoncert.report import symbolic_dynamics_statement
 
-report = run_all(body_grid=(60, 60, 60), face_grid=(10, 10), hyp_grid=(25, 25, 25))
+report = run_all()
 
 for c in report.covering:
     print(f"covering {c.source} => {c.target}: "

@@ -147,10 +147,11 @@ def _hsets(source: str, build):
 def _print_covering(report: ProofReport):
     for c in report.covering:
         status = "PASS" if c.passed else "FAIL"
-        nfail = c.condition_I.failed + c.condition_II.failed
+        failed = c.condition_I.failed + c.condition_II.failed
+        listed = len(c.condition_I.failures) + len(c.condition_II.failures)
         print(f"covering {c.source} => {c.target}: {status} "
               f"(body {c.body_grid}, faces {c.face_grid}, "
-              f"{nfail} failing witnesses, {c.wall_time:.1f}s)")
+              f"{failed} failing boxes, {listed} listed, {c.wall_time:.1f}s)")
     if report.covering_passed:
         print(symbolic_dynamics_statement(report))
 

@@ -16,14 +16,21 @@ run over subdivisions of the local cube B = [-1,1]^3:
     condition along the homotopy and that A maps the unstable boundary
     outside the unit square.
 
+Condition I encloses the image of P by the natural interval extension and,
+when that decides nothing, intersects it with the mean-value form
+f_c(m) + Df_c(P)(P - m), m the midpoint of P (Moore, Kearfott & Cloud,
+*Introduction to Interval Analysis*, 2009, ch. 6).  Both contain f_c(P): the
+first by inclusion, the second by the mean-value theorem on each coordinate,
+P being convex and Df_c(P) enclosing the derivative at every point of P.
+
 All comparisons against 1 are strict and taken on outward-rounded bounds, so
-a pass is rigorous; a failure is an outcome, not an error.  `sweep` decides
+a pass is rigorous; a failure is an outcome, not an error.  `sweep` accepts
 each cell of a grid by its own enclosure or by that of a block of cells
-containing it: a block is accepted when its image satisfies condition I's
-first disjunct (so no cell's name can change) or condition II's exit test.
-That is sound, since the block's enclosure contains each cell's image; it can
-differ from a cell-by-cell check only toward acceptance, and only where the
-interval kernel is not inclusion-monotone.
+containing it, under the name of whichever test the block passes: either
+disjunct of condition I, or condition II's exit test.  That is sound, since
+the block's enclosure contains each cell's image, so every cell of an
+accepted block satisfies the same test.  A count by name thus says which
+test certified the cell, not that the cell's own enclosure passes it.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from .henon import IteratedMap
-from .intervals import Box, Interval
+from .intervals import Box, EnclosureError, Interval, unchecked_box
 from .linalg import IMatrix
 from .sweep import MAX_WITNESSES, UNIT, Record, sweep
 
@@ -98,15 +105,32 @@ def _body_accepts(Y: Box, u: int):
     return None
 
 
+def mean_value_image(fc: IteratedMap, P: Box, orbit, Y: Box) -> Box:
+    """Y, an enclosure of fc(P), intersected with the mean-value form
+    fc(m) + Dfc(P)(P - m), m = P's midpoint; `orbit` is `fc.orbit(P)`.
+
+    Both contain fc(P), so EnclosureError if they are disjoint: only a kernel
+    fault can make them so.
+    """
+    m = Box.from_point(P.midpoint())
+    Z = fc.eval(m) + fc.jacobian(P, orbit) @ (P - m)
+    out = tuple(y.intersect(z) for y, z in zip(Y, Z))
+    if None in out:
+        raise EnclosureError(f"disjoint enclosures of one image: {Y!r}, {Z!r}")
+    return unchecked_box(out)
+
+
 def check_condition_I(fc: IteratedMap, body_grid, cap: int) -> ConditionISummary:
     """Spanning check over the body grid; lists the first `cap` failing sub-boxes."""
     u = fc.charts()[0].u
 
-    def body(P, _, cell):
-        Y = fc.eval(P)
+    def body(P):
+        orbit = fc.orbit(P)
+        Y = fc.eval(P, orbit)
         name = _body_accepts(Y, u)
-        if not cell:  # a block: only the first disjunct names all its cells
-            return name if name == "outside_unstable" else None
+        if name is None:
+            Y = mean_value_image(fc, P, orbit, Y)
+            name = _body_accepts(Y, u)
         return name or {"box": P.endpoints(), "image": Y.endpoints()}
 
     counts, failures = sweep(UNIT, body_grid, body, cap)
@@ -125,13 +149,11 @@ def check_condition_II(
     N0 = fc.charts()[0]
     u = N0.u
 
-    def exits(F, _, cell):
+    def exits(F):
         Ya = A @ Box(F.coords[:u])
         Yf = fc.eval(F)
         if any(Yf[i].hull(Ya[i]).mig() > 1.0 for i in range(u)):
             return "exits"
-        if not cell:
-            return None
         return {
             "box": F.endpoints(),
             "image": Yf.endpoints(),

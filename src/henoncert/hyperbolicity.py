@@ -6,13 +6,12 @@ set, so it is skipped), or Df(B_i)^T Q Df(B_i) - Q must be verifiably positive
 definite with Q = diag(Id_u, -Id_s), u and s read from f's charts.  A pass
 for all four map pairs yields uniform hyperbolicity of the invariant set.
 
-`sweep` decides each sub-box by its own enclosure or by that of a block of
-sub-boxes containing it: a block whose image misses B skips all of them, and
-a block whose cone matrix is positive definite passes that fact down, so its
-sub-boxes run only the skip test.  That is sound, since the block's image and
-Jacobian enclosures contain each sub-box's; it can differ from a box-by-box
-check only toward acceptance, and only where the interval kernel is not
-inclusion-monotone.
+`sweep` accepts each sub-box by its own enclosure or by that of a block of
+sub-boxes containing it: a block whose image misses B counts all of them as
+skipped, and a block whose cone matrix is positive definite counts all of
+them as positive definite.  That is sound, since the block's image and
+Jacobian enclosures contain each sub-box's, so any cover of B by boxes that
+are each skipped or positive definite proves the cone condition.
 """
 
 from __future__ import annotations
@@ -101,16 +100,12 @@ def check_map_pair(
     N0 = f.charts()[0]  # `conjugated` made both charts share (u, s)
     Q = cone_quadratic_form(N0.u, N0.s)
 
-    def skip_or_pd(Bi, pd, cell):
+    def skip_or_pd(Bi):
         orbit = f.orbit(Bi)
         if f.eval(Bi, orbit).is_disjoint(UNIT):
             return "skipped_disjoint"
-        if not pd:
-            S = cone_matrix(f.jacobian(Bi, orbit), Q)
-            pd = is_positive_definite(S)
-        if not cell:
-            return pd  # the hint: every sub-box is PD, or not known to be
-        if pd:
+        S = cone_matrix(f.jacobian(Bi, orbit), Q)
+        if is_positive_definite(S):
             return "positive_definite"
         return {
             "box": Bi.endpoints(),

@@ -1,12 +1,12 @@
 """The one sweep behind all three per-box checks, their shared record type,
 and the one fan-out of independent checks over worker processes.
 
-A check is a predicate on the cells of a grid over a box, such as the local
-cube B = [-1,1]^3: it names the way a cell was accepted, or returns a dict
-describing why it was not.  `sweep` decides whole blocks of cells with one
-enclosure where it can, counts every cell and keeps only the failing cells
-with the smallest indices as witnesses, so output stays bounded whatever the
-grid.
+A check is a predicate on boxes inside a gridded box, such as the local cube
+B = [-1,1]^3: it names the acceptance test a box passes, or returns a dict
+describing why it passes none.  `sweep` accepts whole blocks of cells with
+one enclosure where it can, counts every cell and keeps only the failing
+cells with the smallest indices as witnesses, so output stays bounded
+whatever the grid.
 """
 
 from __future__ import annotations
@@ -32,31 +32,33 @@ def sweep(X: Box, grid, predicate, max_witnesses: int):
     The cells are those of `subdivide_box(X, grid)`, bit for bit, and a
     cell's index is its position in that row-major order.  A coarse-to-fine
     descent visits blocks, each the exact hull of a range of cells per axis,
-    starting from the whole grid.  `predicate(box, hint, cell)` gets the
-    block's box, the hint its parent block returned (None for the whole
-    grid), and whether the box is a single cell.  It returns the name under
-    which every cell of the box is accepted; for a single cell, otherwise, a
-    dict of why it failed; for a larger block, otherwise, the hint passed to
-    its two halves.  The split is on the axis with the most cells (the lowest
-    axis on ties), at the floor midpoint of its range.
+    starting from the whole grid.  `predicate(box)` returns the name of the
+    acceptance test the box passes, or a dict of why it passes none.  A block
+    that passes a test counts all of its cells under that test's name and is
+    not split; any other block splits on the axis with the most cells (the
+    lowest axis on ties), at the floor midpoint of its range, down to single
+    cells, whose dict is their witness detail.
 
-    A cell is thus decided by its own enclosure or by that of a block
+    A cell is thus accepted by its own enclosure or by that of a block
     containing it.  That is sound: the block's enclosure contains the image
-    of each of its cells.  It can differ from a cell-by-cell sweep only
-    toward acceptance, and only where the interval kernel is not
-    inclusion-monotone, since a cell's own bound can then lie a few ulps
-    outside the block's.  Each witness is {"index": the cell's index,
-    **the predicate's detail}.
+    of each of its cells, so any cover of X by boxes that each pass some test
+    proves what the tests prove.  A count by name says which test certified
+    the cell, through its own box or a containing block's, so the names can
+    differ from those of a cell-by-cell sweep with the same predicate.  A cell
+    fails only when its own box fails; the failing cells can differ from such
+    a sweep's only toward acceptance, where a block passes although a cell's
+    own enclosure would not, since an enclosure need not shrink with its box.
+    Each witness is {"index": the cell's index, **the predicate's detail}.
     """
     pieces = grid_pieces(X, grid)
     sizes = [len(p) for p in pieces]
     counts, heap = Counter(), []  # heap: (-index, witness), the smallest indices
 
-    def visit(ranges, hint):
+    def visit(ranges):
         cells = prod(hi - lo for lo, hi in ranges)
         box = Box([Interval(p[lo].lo, p[hi - 1].hi)
                    for p, (lo, hi) in zip(pieces, ranges)])
-        verdict = predicate(box, hint, cells == 1)
+        verdict = predicate(box)
         if isinstance(verdict, str):
             counts[verdict] += cells
         elif cells == 1:
@@ -73,9 +75,9 @@ def sweep(X: Box, grid, predicate, max_witnesses: int):
             lo, hi = ranges[axis]
             mid = (lo + hi) // 2
             for half in ((lo, mid), (mid, hi)):
-                visit(ranges[:axis] + (half,) + ranges[axis + 1:], verdict)
+                visit(ranges[:axis] + (half,) + ranges[axis + 1:])
 
-    visit(tuple((0, n) for n in sizes), None)
+    visit(tuple((0, n) for n in sizes))
     witnesses = [{"index": -i, **w} for i, w in sorted(heap, reverse=True)]
     return counts, witnesses
 

@@ -1,9 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The body-grid escalation in criterion 1 is expected with this kernel: the
-naive natural-extension enclosures are wider than the ones behind the
-original grid choices, so the spanning check needs a finer subdivision (60^3
-is sufficient; the certificate records the grid actually used).
+Criterion 1 runs the covering checks at the shipped grids, a 20^3 body grid
+and 10x10 exit faces, and requires all four relations certified there.
 """
 
 import json
@@ -31,7 +29,6 @@ from henoncert.report import COVERING_CHAIN, ProofReport
 
 PAPER_BODY = (20, 20, 20)
 PAPER_FACE = (10, 10)
-ESCALATED_BODY = (60, 60, 60)
 PAPER_HYP = (25, 25, 25)
 
 
@@ -42,13 +39,7 @@ def _report_line(n, ok, text):
 
 @pytest.fixture(scope="module")
 def covering_certs():
-    """Paper grids first; escalate the body grid if the naive kernel is too wide."""
-    certs = run_symbolic(body_grid=PAPER_BODY, face_grid=PAPER_FACE)
-    grid = PAPER_BODY
-    if not all(c.passed for c in certs):
-        certs = run_symbolic(body_grid=ESCALATED_BODY, face_grid=PAPER_FACE)
-        grid = ESCALATED_BODY
-    return certs, grid
+    return run_symbolic(body_grid=PAPER_BODY, face_grid=PAPER_FACE)
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +49,11 @@ def hyp_cert():
 
 @pytest.fixture(scope="module")
 def passing_report(tmp_path_factory, covering_certs, hyp_cert):
-    certs, grid = covering_certs
     a, b = make_paper_hsets()
     report = ProofReport(
         map_params={"a": "1.76", "b": "0.1", "iterate": 4},
         hset_definitions={"a": a.to_definition(), "b": b.to_definition()},
-        covering=certs,
+        covering=covering_certs,
         hyperbolicity=hyp_cert,
     )
     path = tmp_path_factory.mktemp("reports") / "proof_report.json"
@@ -72,7 +62,7 @@ def passing_report(tmp_path_factory, covering_certs, hyp_cert):
 
 
 def test_criterion_1_symbolic_dynamics(covering_certs):
-    certs, grid = covering_certs
+    certs = covering_certs
     total_time = sum(c.wall_time for c in certs)
     ok = (
         all(c.passed for c in certs)
@@ -81,13 +71,15 @@ def test_criterion_1_symbolic_dynamics(covering_certs):
             not c.condition_I.failures and not c.condition_II.failures
             for c in certs
         )
-        and grid <= (60, 60, 60)
+        and all(
+            c.body_grid == PAPER_BODY and c.face_grid == PAPER_FACE for c in certs
+        )
         and total_time < 600.0
     )
     _report_line(
         1,
         ok,
-        f"all four covering relations certified (body grid {grid}, "
+        f"all four covering relations certified (body grid {PAPER_BODY}, "
         f"faces {PAPER_FACE}, {total_time:.0f}s)",
     )
 

@@ -12,8 +12,9 @@ from henoncert import (
     paper_map_pairs,
     verify_covering,
 )
+from henoncert.covering import _body_accepts, mean_value_image
 from henoncert.hsets import make_hset
-from henoncert.intervals import Interval, IntervalError
+from henoncert.intervals import EnclosureError, Interval, IntervalError
 
 UNIT_BASIS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
@@ -161,13 +162,38 @@ class TestWitnessValidity:
         fc = h4.conjugated(a, a)
         out = check_condition_I(fc, (6, 6, 6), 5)
         assert not out.passed
-        from henoncert.covering import _body_accepts
-
-        for w in out.failures[:5]:
-            if "box" not in w:
-                continue
+        assert out.failures
+        for w in out.failures:
             P = Box([Interval(lo, hi) for lo, hi in w["box"]])
-            assert _body_accepts(fc.eval(P), a.u) is None
+            orbit = fc.orbit(P)
+            Y = fc.eval(P, orbit)
+            assert _body_accepts(Y, a.u) is None
+            # the listed image is the natural one cut down by the mean-value form
+            Y = mean_value_image(fc, P, orbit, Y)
+            assert w["image"] == Y.endpoints()
+            assert _body_accepts(Y, a.u) is None
+
+
+class TestMeanValueImage:
+    def test_tightens_the_natural_image(self, paper_hsets, h4):
+        a = paper_hsets["a"]
+        fc = h4.conjugated(a, a)
+        P = Box.cube(-0.05, 0.05, 3)
+        orbit = fc.orbit(P)
+        Y = fc.eval(P, orbit)
+        Z = mean_value_image(fc, P, orbit, Y)
+        assert Y.contains_box(Z)
+        assert sum(z.width() for z in Z) < 0.5 * sum(y.width() for y in Y)
+
+    def test_disjoint_enclosures_raise(self, paper_hsets, h4):
+        # two enclosures of one image cannot be disjoint unless the kernel is wrong
+        a = paper_hsets["a"]
+        fc = h4.conjugated(a, a)
+        P = Box.cube(-0.05, 0.05, 3)
+        orbit = fc.orbit(P)
+        far = Box([Interval(y.hi + 1.0, y.hi + 2.0) for y in fc.eval(P, orbit)])
+        with pytest.raises(EnclosureError):
+            mean_value_image(fc, P, orbit, far)
 
 
 class TestHomotopyHullContainment:

@@ -1,8 +1,4 @@
-"""The quick demos run to completion against the library in `src`.
-
-Demos 04 (the cone condition at 25^3) and 05 (the full 60^3 certification)
-take too long for the test suite and are run by hand.
-"""
+"""The demos run to completion against the library in `src`."""
 
 import os
 import subprocess
@@ -12,11 +8,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK = ["01_interval_basics.py", "02_folded_towel_attractor.py",
-         "03_covering_relation.py"]
+DEMOS = ["01_interval_basics.py", "02_folded_towel_attractor.py",
+         "03_covering_relation.py", "04_hyperbolicity.py",
+         "05_full_certification.py"]
 
 
-@pytest.mark.parametrize("demo", QUICK)
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

@@ -56,6 +56,23 @@ def _inverse_exact(M):
     return [[cof(j, i) / det for j in range(3)] for i in range(3)]
 
 
+def _chart_exact(name):
+    """(c, M) of a shipped h-set, as Fractions of its decimal definition."""
+    d = {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}[name]
+    M = [[Fraction(v) for v in r] for r in d["basis"]]
+    return [Fraction(v) for v in d["center"]], M
+
+
+def pair_image_exact(label, p):
+    """Exact f_ij(p) = M_j^-1 (H^4(c_i + M_i p) - c_j) for the pair label ij."""
+    (ci, Mi), (cj, Mj) = _chart_exact(label[0]), _chart_exact(label[1])
+    w = [ci[r] + sum(Mi[r][k] * p[k] for k in range(3)) for r in range(3)]
+    for _ in range(4):
+        w = _henon_exact(w)
+    Minv = _inverse_exact(Mj)
+    return [sum(Minv[r][k] * (w[k] - cj[k]) for k in range(3)) for r in range(3)]
+
+
 def _h4_jacobian_exact(w):
     """Exact DH^4 at the world point w, along the exact orbit."""
     J = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
@@ -141,26 +158,36 @@ class TestJacobian:
 
     def test_chart_pair_jacobians_enclose_exact_rational(self, paper_hsets, h4, rng):
         # M_j^-1 DH^4(c_i + M_i p) M_i with the exact decimal charts
-        defs = {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}
-        center = {n: [Fraction(v) for v in d["center"]] for n, d in defs.items()}
-        basis = {n: [[Fraction(v) for v in r] for r in d["basis"]]
-                 for n, d in defs.items()}
         pairs = paper_map_pairs(h4, paper_hsets)
         for label, f in pairs.items():
-            i, j = label
+            (ci, Mi), (_, Mj) = _chart_exact(label[0]), _chart_exact(label[1])
             for _ in range(5):
                 p = _dyadic_point(rng)
-                w = tuple(center[i][r] + sum(basis[i][r][k] * p[k] for k in range(3))
+                w = tuple(ci[r] + sum(Mi[r][k] * p[k] for k in range(3))
                           for r in range(3))
                 exact = _matmul_exact(
-                    _inverse_exact(basis[j]),
-                    _matmul_exact(_h4_jacobian_exact(w), basis[i]),
+                    _inverse_exact(Mj),
+                    _matmul_exact(_h4_jacobian_exact(w), Mi),
                 )
                 J = f.jacobian(Box.from_point([float(v) for v in p]))
                 _assert_encloses(J, exact)
 
 
 class TestIteratedMap:
+    def test_pair_midpoint_images_enclose_exact_rational(self, paper_hsets, h4, rng):
+        # f_ij(m) at the midpoint m of a dyadic box, the point the mean-value
+        # form of condition I expands about
+        for label, f in paper_map_pairs(h4, paper_hsets).items():
+            for _ in range(10):
+                corners = zip(_dyadic_point(rng), _dyadic_point(rng))
+                P = Box([Interval(float(min(c)), float(max(c))) for c in corners])
+                m = P.midpoint()
+                exact = [(Fraction(c.lo) + Fraction(c.hi)) / 2 for c in P]
+                assert [Fraction(v) for v in m] == exact  # dyadic: m is exact
+                Y = f.eval(Box.from_point(m))
+                image = pair_image_exact(label, exact)
+                assert all(_exact_in(y, e) for y, e in zip(Y, image))
+
     def test_point_in_image_property(self, rng):
         f = IteratedMap(HenonMap(), k=4)
         for _ in range(50):

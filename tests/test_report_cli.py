@@ -177,6 +177,28 @@ class TestCLI:
             assert c["failures"] == f["failures"][:3]
             assert c["failed"] == len(f["failures"])
 
+    def test_printed_counts_separate_failing_from_listed(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        rc = main([
+            "verify-all", "--body-grid", "7,5,3", "--face-grid", "3,5",
+            "--hyp-grid", "7,4,9", "--workers", "1", "--max-failures", "3",
+            "--report", str(path),
+        ])
+        assert rc == 1
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("covering ")]
+        certs = json.loads(path.read_text())["covering"]
+        assert len(lines) == len(certs) == 4
+        counts = []
+        for line, c in zip(lines, certs):
+            ci, cii = c["condition_I"], c["condition_II"]
+            failed = ci["failed"] + cii["failed"]
+            listed = len(ci["failures"]) + len(cii["failures"])
+            assert f"{failed} failing boxes, {listed} listed" in line
+            counts.append((failed, listed))
+        # a => a: more boxes fail than its two capped lists can hold
+        assert counts[0][0] > counts[0][1] <= 6
+
     @pytest.mark.parametrize("flag", ["--max-failures", "--map-iterate", "--workers"])
     def test_non_positive_count_exits_2(self, flag, capsys):
         with pytest.raises(SystemExit) as e:

@@ -1,8 +1,10 @@
 """The coarse-to-fine `sweep` against the row-major loop it replaced.
 
 `flat_sweep` decides every cell by its own enclosure, in row-major order, and
-keeps the first failing cells: the three checks must count and list the same
-cells under either sweep.
+keeps the first failing cells: the three checks must check and fail the same
+cells, with the same witnesses, under either sweep.  Only the split of the
+accepted cells between names may differ, since `sweep` counts every cell of
+an accepted block under the name of the test the block passed.
 """
 
 from collections import Counter
@@ -34,7 +36,7 @@ def flat_sweep(X, grid, predicate, max_witnesses):
     decided by its own enclosure; the first `max_witnesses` failures kept."""
     counts, witnesses = Counter(), []
     for index, box in enumerate(subdivide_box(X, grid)):
-        verdict = predicate(box, None, True)
+        verdict = predicate(box)
         if isinstance(verdict, str):
             counts[verdict] += 1
             continue
@@ -74,18 +76,25 @@ BODY, FACE, HYP = (7, 5, 3), (3, 5), (7, 4, 9)
 
 
 def _runs(maps, cap):
-    """Every covering certificate and cone outcome of `maps`, timings dropped."""
+    """Every covering certificate and cone outcome of `maps`, with timings
+    dropped and the accepted cells counted together, not by name."""
     out = []
     for label, f in maps.items():
         cert = verify_covering(f, BODY, FACE, cap).to_dict()
         cert.pop("wall_time")
-        out += [cert, check_map_pair(label, f, HYP, cap).to_dict()]
+        ci = cert["condition_I"]
+        ci["accepted"] = ci.pop("outside_unstable") + ci.pop("inside_stable")
+        cone = check_map_pair(label, f, HYP, cap).to_dict()
+        cone["accepted"] = cone.pop("skipped_disjoint") + cone.pop("positive_definite")
+        out += [cert, cone]
     return out
 
 
 @pytest.mark.parametrize("cap", [1, 3, 20])
 @pytest.mark.parametrize("maps", list(MAP_SETS))
 def test_checks_match_flat_reference(maps, cap, monkeypatch):
+    # equal checked and failed counts, witnesses (index and details) and
+    # verdicts; the accepted counts are compared in total
     pairs = MAP_SETS[maps]()
     tree = _runs(pairs, cap)
     monkeypatch.setattr(covering, "sweep", flat_sweep)
@@ -103,13 +112,8 @@ def _bits(box):
 
 class TestEngine:
     def test_leaves_are_the_row_major_cells(self):
-        leaves = {}
-
-        def fail_everywhere(box, _, cell):
-            if cell:
-                leaves[len(leaves)] = box
-                return {"bits": _bits(box)}
-            return None
+        def fail_everywhere(box):
+            return {"bits": _bits(box)}
 
         counts, witnesses = sweep(X, GRID, fail_everywhere, 10**6)
         cells = [_bits(b) for b in subdivide_box(X, GRID)]
@@ -118,13 +122,14 @@ class TestEngine:
         assert [w["bits"] for w in witnesses] == cells
 
     def test_block_verdict_counts_all_its_cells(self):
+        cells = set(subdivide_box(X, GRID))
         calls = Counter()
 
-        def left(box, _, cell):
-            calls[cell] += 1
+        def left(box):
+            calls[box in cells] += 1
             if box[0].hi < 0.0:  # the first two of five slabs along axis 0
                 return "left"
-            return "right" if cell else None
+            return "right" if box in cells else {"undecided": True}
 
         counts, witnesses = sweep(X, GRID, left, 5)
         assert counts == {"left": 2 * 3 * 7, "right": 3 * 3 * 7}
@@ -132,28 +137,40 @@ class TestEngine:
         # the left slabs were decided as blocks: only the right ones reached cells
         assert calls[True] == 3 * 3 * 7
 
-    def test_hint_reaches_sub_blocks(self):
-        seen = []
+    def test_block_under_any_name_is_not_split(self):
+        # slabs 0-1 of axis 0 pass one test, slabs 3-4 another, slab 2 none
+        visited = []
 
-        def pass_own_box(box, hint, cell):
-            seen.append((hint, box))
-            return "cell" if cell else box
+        def two_tests(box):
+            visited.append(box)
+            if box[0].hi < 0.0:
+                return "left"
+            if box[0].lo > 0.0:
+                return "right"
+            return {"lo": box[0].lo}
 
-        counts, _ = sweep(X, GRID, pass_own_box, 5)
-        assert counts == {"cell": 5 * 3 * 7}
-        assert seen[0] == (None, X)
-        for hint, box in seen[1:]:
-            assert hint.contains_box(box) and hint != box
+        counts, witnesses = sweep(X, GRID, two_tests, 10**6)
+        assert counts == {"left": 2 * 3 * 7, "right": 2 * 3 * 7, "failed": 3 * 7}
+        middle = [i for i, b in enumerate(subdivide_box(X, GRID))
+                  if b[0].lo < 0.0 < b[0].hi]
+        assert [w["index"] for w in witnesses] == middle
+        # no visited box lies inside another box that passed a test
+        passed = [b for b in visited if b[0].hi < 0.0 or b[0].lo > 0.0]
+        for outer in passed:
+            assert not any(outer.contains_box(b) and b != outer for b in visited)
+        # and each box that passed was a block of several cells
+        cells = set(subdivide_box(X, GRID))
+        assert passed and not any(b in cells for b in passed)
 
     def test_witnesses_are_the_smallest_failing_indices(self):
         cells = list(subdivide_box(X, GRID))
         failing = {i for i in range(len(cells)) if (i * 7) % 11 in (2, 5, 6)}
         index = {tuple(_bits(b)): i for i, b in enumerate(cells)}
 
-        def some_fail(box, _, cell):
-            if not cell:
-                return None
-            i = index[tuple(_bits(box))]
+        def some_fail(box):
+            i = index.get(tuple(_bits(box)))
+            if i is None:  # a block of several cells
+                return {"i": None}
             return {"i": i} if i in failing else "ok"
 
         for cap in (0, 1, 4, 1000):
@@ -178,11 +195,11 @@ class TestEngine:
     def test_single_cell_grid_is_one_leaf(self):
         calls = []
 
-        def record(box, hint, cell):
-            calls.append((box, hint, cell))
+        def record(box):
+            calls.append(box)
             return {"x": 1}
 
         counts, witnesses = sweep(X, (1, 1, 1), record, 5)
-        assert calls == [(X, None, True)]
+        assert calls == [X]
         assert counts == {"failed": 1}
         assert witnesses == [{"index": 0, "x": 1}]
