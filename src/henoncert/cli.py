@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, drivers
 from .covering import BODY_GRID, FACE_GRID
-from .henon import DivergenceError, eval_point_fast
+from .henon import DivergenceError, HenonParams, eval_point_fast
 from .hsets import hset_from_definition, load_hsets
 from .hyperbolicity import HYP_GRID
 from .report import (
@@ -33,14 +33,13 @@ from .sweep import MAX_WITNESSES
 DEFAULT_REPORT = "proof_report.json"
 _GRIDS = {"body_grid": (BODY_GRID, "K,K,K"), "face_grid": (FACE_GRID, "M,M"),
           "hyp_grid": (HYP_GRID, "K,K,K")}  # default and metavar per grid flag
-# Verify subcommand -> (help, its grids, the `drivers` function it runs, by
-# name: looked up on each run, so a wrapped driver is the one called).
+# Verify subcommand -> (help, its grids).
 _VERIFY = {
     "verify-symbolic": ("certify the four covering relations",
-                        ("body_grid", "face_grid"), "run_symbolic_report"),
+                        ("body_grid", "face_grid")),
     "verify-hyperbolicity": ("certify the cone condition on the chart cubes",
-                             ("hyp_grid",), "run_hyperbolicity_report"),
-    "verify-all": ("run both certifications", tuple(_GRIDS), "run_all"),
+                             ("hyp_grid",)),
+    "verify-all": ("run both certifications", tuple(_GRIDS)),
 }
 # What a malformed input file can raise while it is read and checked.
 _INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError,
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for command, (help_, grids, _) in _VERIFY.items():
+    for command, (help_, grids) in _VERIFY.items():
         p = sub.add_parser(command, help=help_)
         for dest in grids:
             default, metavar = _GRIDS[dest]
@@ -164,26 +163,26 @@ def _print_hyperbolicity(report: ProofReport):
               f"(skipped {o.skipped_disjoint}, positive definite "
               f"{o.positive_definite}, failed {o.failed})")
     if cert.passed:
-        it = report.map_params.get("iterate", 4)
+        it = report.map_params["iterate"]
         print(f"The {it}-th iterate is strongly hyperbolic on a union b, "
               f"hence uniformly hyperbolic on the invariant part of a union b.")
 
 
 def cmd_verify(args) -> int:
     """verify-symbolic, verify-hyperbolicity and verify-all."""
-    _, grids, run = _VERIFY[args.command]
     hsets = None
     if args.hsets is not None:
         hsets = _hsets(args.hsets, lambda: load_hsets(args.hsets))
-    report = getattr(drivers, run)(
-        **{g: getattr(args, g) for g in grids}, iterate=args.map_iterate,
-        hsets=hsets, workers=args.workers, max_failures_reported=args.max_failures,
+    grids = {g: getattr(args, g, None) for g in _GRIDS}  # None: not run
+    report = drivers.run_all(
+        **grids, iterate=args.map_iterate, hsets=hsets, workers=args.workers,
+        max_failures_reported=args.max_failures,
     )
     ok = True
-    if "body_grid" in grids:
+    if grids["body_grid"] is not None:
         _print_covering(report)
         ok = report.covering_passed
-    if "hyp_grid" in grids:
+    if grids["hyp_grid"] is not None:
         _print_hyperbolicity(report)
         ok = ok and report.hyperbolicity.passed
     report.save(args.report)
@@ -216,15 +215,16 @@ def cmd_periodic_orbits(args) -> int:
 
 def cmd_attractor_sample(args) -> int:
     p = args.seed
+    params = HenonParams()
     rows_written = 0
     with open(args.out, "w") as fh:
         fh.write("# NON-RIGOROUS SAMPLE\n")
         fh.write("x,y,z\n")
         try:
             if args.transient > 0:
-                p = eval_point_fast(p, args.transient)
+                p = eval_point_fast(p, args.transient, params)
             for _ in range(args.count):
-                p = eval_point_fast(p, 1)
+                p = eval_point_fast(p, 1, params)
                 fh.write(",".join(format(v, ".17g") for v in p) + "\n")
                 rows_written += 1
         except DivergenceError as e:

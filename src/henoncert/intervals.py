@@ -304,9 +304,6 @@ class Box:
         """True when the boxes share no point (some coordinate is disjoint)."""
         return any(c.is_disjoint(o) for c, o in zip(self.coords, other.coords))
 
-    def hull(self, other: "Box") -> "Box":
-        return Box([c.hull(o) for c, o in zip(self.coords, other.coords)])
-
     def midpoint(self):
         return tuple(c.mid() for c in self.coords)
 

@@ -43,10 +43,6 @@ class ProofReport:
         hyp_ok = self.hyperbolicity is not None and self.hyperbolicity.passed
         return self.covering_passed and hyp_ok
 
-    def covering_edges(self):
-        """Directed edges of the verified covering graph."""
-        return sorted((c.source, c.target) for c in self.covering if c.passed)
-
     def to_dict(self) -> dict:
         return {
             "artifact_version": self.version,
@@ -68,17 +64,24 @@ class ProofReport:
     @classmethod
     def from_dict(cls, d: dict) -> "ProofReport":
         try:
+            map_params = dict(d["map"])
+            a, b, it = map_params["a"], map_params["b"], map_params["iterate"]
+            if not (isinstance(a, str) and isinstance(b, str)
+                    and type(it) is int and it >= 1):  # bool, float, str
+                raise ReportError(
+                    "malformed proof report: map needs decimal strings a, b "
+                    f"and an integer iterate >= 1, got {map_params!r}")
             hyp = d.get("hyperbolicity")
             return cls(
-                map_params=dict(d["map"]),
+                map_params=map_params,
                 hset_definitions=dict(d["hsets"]),
                 covering=[CoveringCertificate.from_dict(c) for c in d["covering"]],
                 hyperbolicity=(
                     HyperbolicityCertificate.from_dict(hyp) if hyp else None
                 ),
-                total_runtime=d.get("total_runtime", 0.0),
-                workers=d.get("workers", 1),
-                version=d.get("artifact_version", __version__),
+                total_runtime=d["total_runtime"],
+                workers=d["workers"],
+                version=d["artifact_version"],
             )
         except (KeyError, TypeError, AttributeError) as e:
             raise ReportError(f"malformed proof report: {e!r}") from e
@@ -101,7 +104,7 @@ def symbolic_dynamics_statement(report: ProofReport) -> str:
     """The conclusion earned by a fully verified covering graph."""
     if not report.covering_passed:
         raise ReportError("covering graph did not pass; no conclusion available")
-    it = report.map_params.get("iterate", 4)
+    it = report.map_params["iterate"]
     return (
         f"All four covering relations among the h-sets a, b hold for the "
         f"{it}-th iterate of the map; a union b is a topological horseshoe, "
@@ -124,7 +127,7 @@ def periodic_orbit_consequence(report: ProofReport, word: str, hsets: dict) -> s
             "refusing to state consequences: the loaded report does not "
             "certify all four covering relations"
         )
-    it = report.map_params.get("iterate", 4)
+    it = report.map_params["iterate"]
     n = len(word)
     lines = [
         f"Verified covering chain for the cyclic word '{word}' "

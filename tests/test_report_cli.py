@@ -17,7 +17,7 @@ from henoncert import (
     verify_covering,
 )
 from henoncert.cli import main
-from henoncert.drivers import run_all
+from henoncert.drivers import run_all, run_hyperbolicity, run_symbolic
 from henoncert.hsets import make_hset
 from henoncert.report import COVERING_CHAIN, symbolic_dynamics_statement
 
@@ -51,10 +51,6 @@ class TestProofReport:
         rep = _toy_report()
         assert rep.covering_passed
         assert not rep.verdict  # no hyperbolicity certificate yet
-
-    def test_covering_edges(self):
-        rep = _toy_report()
-        assert rep.covering_edges() == sorted(COVERING_CHAIN)
 
     def test_malformed_report(self):
         with pytest.raises(ReportError):
@@ -244,12 +240,17 @@ class TestCLI:
             assert "'1e400'" in err
 
     @pytest.mark.parametrize("case", [
-        "not-json", "malformed", "pre-change", "missing-hset",
+        "not-json", "malformed", "pre-change", "missing-hset", "no-iterate",
+        "iterate-not-int",
     ])
     def test_bad_report_exits_2(self, case, tmp_path, capsys):
         d = _toy_report().to_dict()
         if case == "missing-hset":
             del d["hsets"]["b"]
+        elif case == "no-iterate":
+            del d["map"]["iterate"]
+        elif case == "iterate-not-int":
+            d["map"]["iterate"] = "two"
         else:
             for c in d["covering"]:  # as written before failures were counted
                 del c["condition_I"]["failed"], c["condition_II"]["failed"]
@@ -280,7 +281,18 @@ class TestCLI:
         ])
         rep = json.loads(path.read_text())
         assert rep["hyperbolicity"]["grid"] == [6, 6, 6]
+        assert rep["covering"] == []
         assert rc in (0, 1)
+
+    def test_report_echoes_the_map_that_ran(self, tmp_path):
+        path = tmp_path / "report.json"
+        main([
+            "verify-symbolic", "--map-iterate", "2", "--body-grid", "2,2,2",
+            "--face-grid", "2,2", "--workers", "1", "--report", str(path),
+        ])
+        rep = json.loads(path.read_text())
+        assert rep["map"] == {"a": "1.76", "b": "0.1", "iterate": 2}
+        assert rep["hyperbolicity"] is None
 
     def test_hsets_flag(self, tmp_path):
         from henoncert.hsets import save_hsets
@@ -333,6 +345,22 @@ class TestTracerContract:
         assert uncalled == []
         # one traced driver call: the CLI looks the driver up when it runs
         assert under_cli.count("drivers") == 1
+
+
+class TestOneDriver:
+    def test_wrappers_return_parts_of_the_report(self):
+        grid = (3, 3, 3)
+        sym = run_all(body_grid=grid, face_grid=(2, 2), hyp_grid=None)
+        cone = run_all(None, None, grid)
+        assert sym.hyperbolicity is None and cone.covering == []
+        parts = {
+            "covering": [c.to_dict() for c in
+                         run_symbolic(body_grid=grid, face_grid=(2, 2))],
+            "hyperbolicity": run_hyperbolicity(grid=grid).to_dict(),
+        }
+        whole = {"covering": [c.to_dict() for c in sym.covering],
+                 "hyperbolicity": cone.hyperbolicity.to_dict()}
+        assert _strip_timing(parts) == _strip_timing(whole)
 
 
 class TestDriverParallelism:
