@@ -7,8 +7,9 @@ Subcommands:
   periodic-orbits WORD   logical consequence for a cyclic word over {a, b}
   attractor-sample       non-rigorous orbit CSV for plotting
 
-Exit code is 0 exactly when the requested verdict is true, 1 when it is not,
-and 2 for bad input: a malformed flag, h-set file or proof report.
+Exit code is 0 exactly when the requested verdict is true, 1 when it is not
+or when standard output is closed early, and 2 for bad input: a malformed
+flag, h-set file or proof report.
 """
 
 from __future__ import annotations
@@ -245,10 +246,19 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except _BadInput as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left, as `| head` does; point stdout at devnull so the
+        # flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -65,12 +65,12 @@ class HenonMap:
         if X.dim != 3:
             raise IntervalError("Henon map acts on 3-dimensional boxes")
         y = X.coords[1]
-        return IMatrix(
-            [
-                [_ZERO, y.scale(-2.0), -self.params.b],
-                [_ONE, _ZERO, _ZERO],
-                [_ZERO, _ONE, _ZERO],
-            ]
+        return unchecked_matrix(
+            (
+                (_ZERO, y.scale(-2.0), -self.params.b),
+                (_ONE, _ZERO, _ZERO),
+                (_ZERO, _ONE, _ZERO),
+            )
         )
 
     def jacobian_step(self, X: Box, J: IMatrix) -> IMatrix:

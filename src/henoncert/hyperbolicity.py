@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .henon import IteratedMap
 from .intervals import Interval, IntervalError
@@ -25,11 +26,13 @@ from .linalg import (
     IMatrix,
     is_positive_definite,
     leading_minor_lower_bounds,
+    unchecked_matrix,
 )
 from .sweep import MAX_WITNESSES, UNIT, Record, fan_out, sweep
 
 HYP_GRID = (25, 25, 25)  # shipped cone-check grid
 _ZERO = Interval(0.0, 0.0)
+_diagonal = lru_cache(maxsize=16)(IMatrix.diagonal)  # for the check of Q
 
 
 def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
@@ -45,8 +48,8 @@ def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
     the sign q_k; it is then mirrored, since every member matrix is symmetric.
     IntervalError unless Q is diag(+-1), the form `cone_quadratic_form` makes.
     """
-    q = [Q.rows[i][i].lo for i in range(min(Q.nrows, Q.ncols))]
-    if Q != IMatrix.diagonal(q) or any(abs(v) != 1.0 for v in q):
+    q = tuple(Q.rows[i][i].lo for i in range(min(Q.nrows, Q.ncols)))
+    if Q != _diagonal(q) or any(abs(v) != 1.0 for v in q):
         raise IntervalError("cone form Q must be diag(+-1)")
     n = len(q)
     if Df.nrows != n or Df.ncols != n:
@@ -62,7 +65,7 @@ def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
             if i == j:
                 acc = acc - Q[i, i]
             S[i][j] = S[j][i] = acc
-    return IMatrix(S)
+    return unchecked_matrix(tuple(map(tuple, S)))
 
 
 @dataclass

@@ -250,7 +250,7 @@ def leading_minor_lower_bounds(S: IMatrix):
     if n != S.ncols:
         raise IntervalError("leading minors require a square matrix")
     for k in range(1, n + 1):
-        yield det(IMatrix([row[:k] for row in S.rows[:k]])).lo
+        yield det(unchecked_matrix(tuple(row[:k] for row in S.rows[:k]))).lo
 
 
 def is_positive_definite(S: IMatrix) -> bool:

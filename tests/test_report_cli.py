@@ -151,6 +151,24 @@ class TestCLI:
             assert not ProofReport.load(path).covering_passed
             assert main(["periodic-orbits", "ab", "--report", str(path)]) == 1
 
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        path = tmp_path / "report.json"
+        _toy_report().save(path)
+        src = str(Path(henoncert.__file__).resolve().parents[1])
+        r, w = os.pipe()
+        os.close(r)  # no reader, as after `| head` exits: every write fails
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "henoncert.cli", "periodic-orbits",
+                 "abababababab", "--report", str(path)],
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                stdout=w, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(w)
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr, run.stderr
+
     def test_witness_lists_are_capped(self, tmp_path):
         grids = dict(body_grid=(4, 4, 4), face_grid=(2, 2), hyp_grid=(4, 4, 4))
         full = run_all(**grids, max_failures_reported=10**6).to_dict()
