@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .henon import IteratedMap
 from .intervals import Interval, IntervalError
@@ -32,7 +31,6 @@ from .sweep import MAX_WITNESSES, UNIT, Record, fan_out, sweep
 
 HYP_GRID = (25, 25, 25)  # shipped cone-check grid
 _ZERO = Interval(0.0, 0.0)
-_diagonal = lru_cache(maxsize=16)(IMatrix.diagonal)  # for the check of Q
 
 
 def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
@@ -48,10 +46,13 @@ def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
     the sign q_k; it is then mirrored, since every member matrix is symmetric.
     IntervalError unless Q is diag(+-1), the form `cone_quadratic_form` makes.
     """
-    q = tuple(Q.rows[i][i].lo for i in range(min(Q.nrows, Q.ncols)))
-    if Q != _diagonal(q) or any(abs(v) != 1.0 for v in q):
+    n = Q.nrows
+    if any(len(r) != n for r in Q.rows) or not all(
+        e.lo == e.hi and abs(e.lo) == 1.0 if i == j else e == _ZERO
+        for i, r in enumerate(Q.rows) for j, e in enumerate(r)
+    ):
         raise IntervalError("cone form Q must be diag(+-1)")
-    n = len(q)
+    q = [Q.rows[i][i].lo for i in range(n)]
     if Df.nrows != n or Df.ncols != n:
         raise IntervalError("Df must be square, of the size of Q")
     cols = list(zip(*Df.rows))

@@ -2,15 +2,12 @@
 
 Every operation returns an interval that is guaranteed to contain the exact
 real result for all points of the operands.  Addition and subtraction use an
-exact error term (two-sum) so representable results stay tight; products,
-picked by the operands' signs, are widened by one ulp on each side, which is
-always sound under round-to-nearest, except scaling by a power of two, which
-is exact unless it leaves the normal range.  Rationals are enclosed tightly
-through `fractions.Fraction`.
+exact error term (two-sum) so representable results stay tight; products are
+widened by one ulp on each side, which is always sound under round-to-nearest,
+except scaling by a power of two, which is exact unless it leaves the normal
+range.  Rationals are enclosed tightly through `fractions.Fraction`.
 
-Importing the module fails unless floats round to nearest.  The arithmetic
-builds a finite, ordered result in place, without `Interval.__init__`'s
-checks; anything else goes through `_checked`, which raises.
+Importing the module fails unless floats round to nearest.
 """
 
 from __future__ import annotations
@@ -92,107 +89,46 @@ class Interval:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
+        lo, hi = self.lo + other.lo, self.hi + other.hi
         # two-sum error terms: widen only when rounding actually occurred
-        x, y = self.lo, other.lo
-        lo = x + y
-        e = lo - x
-        if y - e != 0.0 or x - (lo - e) != 0.0:
-            lo = _nextafter(lo, -_INF)
-        x, y = self.hi, other.hi
-        hi = x + y
-        e = hi - x
-        if y - e != 0.0 or x - (hi - e) != 0.0:
-            hi = _nextafter(hi, _INF)
-        if -_INF < lo <= hi < _INF:
-            iv = _new(Interval)
-            iv.lo = lo
-            iv.hi = hi
-            return iv
+        e = lo - self.lo
+        if other.lo - e != 0.0 or self.lo - (lo - e) != 0.0:
+            lo = _down(lo)
+        e = hi - self.hi
+        if other.hi - e != 0.0 or self.hi - (hi - e) != 0.0:
+            hi = _up(hi)
         return _checked(lo, hi)
 
     def __sub__(self, other: "Interval") -> "Interval":
-        x, y = self.lo, other.hi
-        lo = x - y
-        e = lo - x
-        if -y - e != 0.0 or x - (lo - e) != 0.0:
-            lo = _nextafter(lo, -_INF)
-        x, y = self.hi, other.lo
-        hi = x - y
-        e = hi - x
-        if -y - e != 0.0 or x - (hi - e) != 0.0:
-            hi = _nextafter(hi, _INF)
-        if -_INF < lo <= hi < _INF:
-            iv = _new(Interval)
-            iv.lo = lo
-            iv.hi = hi
-            return iv
+        lo, hi = self.lo - other.hi, self.hi - other.lo
+        e = lo - self.lo
+        if -other.hi - e != 0.0 or self.lo - (lo - e) != 0.0:
+            lo = _down(lo)
+        e = hi - self.hi
+        if -other.lo - e != 0.0 or self.hi - (hi - e) != 0.0:
+            hi = _up(hi)
         return _checked(lo, hi)
 
     def __neg__(self) -> "Interval":
-        iv = _new(Interval)
-        iv.lo = -self.hi
-        iv.hi = -self.lo
-        return iv
+        return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        """Product by the operands' signs: two float products, four only
-        when both operands straddle 0.
-
-        Rounding to nearest is monotone, so the product picked for each
-        endpoint rounds to the least (greatest) of the four rounded
-        products, up to the sign of a zero, which the one-ulp widening
-        erases.
-        """
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a >= 0.0:
-            if c >= 0.0:
-                lo, hi = a * c, b * d
-            elif d <= 0.0:
-                lo, hi = b * c, a * d
-            else:
-                lo, hi = b * c, b * d
-        elif b <= 0.0:
-            if c >= 0.0:
-                lo, hi = a * d, b * c
-            elif d <= 0.0:
-                lo, hi = b * d, a * c
-            else:
-                lo, hi = a * d, a * c
-        elif c >= 0.0:
-            lo, hi = a * d, b * d
-        elif d <= 0.0:
-            lo, hi = b * c, a * c
-        else:
-            lo, hi = min(a * d, b * c), max(a * c, b * d)
-        lo = _nextafter(lo, -_INF)
-        hi = _nextafter(hi, _INF)
-        if -_INF < lo <= hi < _INF:
-            iv = _new(Interval)
-            iv.lo = lo
-            iv.hi = hi
-            return iv
-        return _checked(lo, hi)
+        p1, p2, p3, p4 = a * c, a * d, b * c, b * d
+        lo = min(p1, p2, p3, p4)
+        hi = max(p1, p2, p3, p4)
+        return _checked(_down(lo), _up(hi))
 
     def sqr(self) -> "Interval":
         """Dependency-aware square: sqr([-2,1]) = [0,4], not [-2,4]."""
-        a, b = self.lo, self.hi
-        if a > 0.0:
-            lo, hi = _nextafter(a * a, -_INF), b * b
-            if not lo > 0.0:  # a * a underflowed
-                lo = 0.0
-        elif b < 0.0:
-            lo, hi = _nextafter(b * b, -_INF), a * a
-            if not lo > 0.0:
-                lo = 0.0
+        a, b = abs(self.lo), abs(self.hi)
+        if a > b:
+            a, b = b, a
+        if self.lo <= 0.0 <= self.hi:
+            lo = 0.0
         else:
-            lo, hi = 0.0, (a * a if -a > b else b * b)
-        hi = _nextafter(hi, _INF)
-        if lo <= hi < _INF:
-            iv = _new(Interval)
-            iv.lo = lo
-            iv.hi = hi
-            return iv
-        return _checked(lo, hi)
+            lo = max(0.0, _down(a * a))
+        return _checked(lo, _up(b * b))
 
     def scale(self, c: float) -> "Interval":
         """Multiply by an exact float scalar.
@@ -201,28 +137,19 @@ class Interval:
         operand, so it is widened unless c is a power of two and each product
         is one of those; a nonzero operand may underflow to a subnormal or 0.
         """
-        a, b = self.lo, self.hi
-        lo, hi = c * a, c * b
-        widen = (abs(math.frexp(c)[0]) != 0.5
-                 or (abs(lo) < _TINY and a != 0.0) or (abs(hi) < _TINY and b != 0.0))
-        if widen:
-            lo, hi = _nextafter(min(lo, hi), -_INF), _nextafter(max(lo, hi), _INF)
-        elif lo > hi:
-            lo, hi = hi, lo
-        if -_INF < lo <= hi < _INF:
-            iv = _new(Interval)
-            iv.lo = lo
-            iv.hi = hi
-            return iv
-        return _checked(lo, hi)
+        lo, hi = self.lo, self.hi
+        p, q = c * lo, c * hi
+        if (abs(math.frexp(c)[0]) != 0.5
+                or (abs(p) < _TINY and lo != 0.0) or (abs(q) < _TINY and hi != 0.0)):
+            p, q = _down(min(p, q)), _up(max(p, q))
+        elif p > q:
+            p, q = q, p
+        return _checked(p, q)
 
     # -- set operations ------------------------------------------------------
 
     def hull(self, other: "Interval") -> "Interval":
-        iv = _new(Interval)
-        iv.lo = min(self.lo, other.lo)
-        iv.hi = max(self.hi, other.hi)
-        return iv
+        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def intersect(self, other: "Interval"):
         """Intersection, or None when disjoint (the explicit empty value)."""
@@ -230,10 +157,7 @@ class Interval:
         hi = min(self.hi, other.hi)
         if lo > hi:
             return None
-        iv = _new(Interval)
-        iv.lo = lo
-        iv.hi = hi
-        return iv
+        return Interval(lo, hi)
 
     def is_disjoint(self, other: "Interval") -> bool:
         return self.hi < other.lo or other.hi < self.lo

@@ -63,6 +63,7 @@ class TestConeMatrix:
     @pytest.mark.parametrize("Q", [
         IMatrix.diagonal([2.0, 1.0, -1.0]),
         IMatrix.diagonal([Interval(0.5, 1.0), 1.0, -1.0]),
+        IMatrix.diagonal([Interval(1.0, 2.0), 1.0, -1.0]),
         IMatrix.from_floats([[1, 0.5, 0], [0, 1, 0], [0, 0, -1]]),
         IMatrix.diagonal([1.0, -1.0]),
         IMatrix.from_floats([[1, 0, 0], [0, 1, 0]]),

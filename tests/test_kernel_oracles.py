@@ -1,9 +1,10 @@
 """Oracle tests of the interval kernel's hot operations.
 
 Each operation is checked two ways on derandomized hypothesis samples:
-- bit identity with the reference formulas below, the plain four-product,
-  min/max kernel that the sign-case kernel replaced; an operation that
-  raises must raise the same type as its reference;
+- bit identity with the reference formulas below, a copy of the plain
+  four-product, min/max kernel, so a rewrite for speed (products picked by
+  the operands' signs, rounding done inline) must keep every bit; an
+  operation that raises must raise the same type as its reference;
 - enclosure of the exact `Fraction` result.
 
 The samples cover signed zeros, subnormals, operands that straddle 0 and
