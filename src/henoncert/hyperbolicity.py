@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .henon import IteratedMap
-from .intervals import Interval, IntervalError
+from .intervals import Box, Interval, IntervalError
 from .linalg import (
     IMatrix,
     is_positive_definite,
@@ -30,7 +30,6 @@ from .linalg import (
 from .sweep import MAX_WITNESSES, UNIT, Record, fan_out, sweep
 
 HYP_GRID = (25, 25, 25)  # shipped cone-check grid
-_ZERO = Interval(0.0, 0.0)
 
 
 def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
@@ -42,16 +41,20 @@ def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
     """Interval enclosure of Df^T Q Df - Q for Q = diag(q), each q_k = +-1.
 
     Only the upper triangle is computed, S_ij = sum_k q_k D_ki D_kj (with
-    sqr(D_ki) on the diagonal, less q_i), each term added or subtracted by
-    the sign q_k; it is then mirrored, since every member matrix is symmetric.
-    IntervalError unless Q is diag(+-1), the form `cone_quadratic_form` makes.
+    sqr(D_ki) on the diagonal, less q_i): each sum starts from its first
+    term, negated when q_0 < 0, and adds or subtracts the others by the sign
+    q_k.  It is then mirrored, since every member matrix is symmetric.
+    IntervalError unless Q is diag(+-1), the form `cone_quadratic_form` makes:
+    square, each off-diagonal entry the point 0 and each diagonal one +-1.
     """
     n = Q.nrows
-    if any(len(r) != n for r in Q.rows) or not all(
-        e.lo == e.hi and abs(e.lo) == 1.0 if i == j else e == _ZERO
-        for i, r in enumerate(Q.rows) for j, e in enumerate(r)
-    ):
-        raise IntervalError("cone form Q must be diag(+-1)")
+    for i, r in enumerate(Q.rows):
+        if len(r) != n:
+            raise IntervalError("cone form Q must be diag(+-1)")
+        for j, e in enumerate(r):
+            lo, hi = e.lo, e.hi
+            if not (lo == hi and (abs(lo) == 1.0 if i == j else lo == 0.0)):
+                raise IntervalError("cone form Q must be diag(+-1)")
     q = [Q.rows[i][i].lo for i in range(n)]
     if Df.nrows != n or Df.ncols != n:
         raise IntervalError("Df must be square, of the size of Q")
@@ -59,10 +62,10 @@ def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
     S = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = _ZERO
-            for qk, a, b in zip(q, cols[i], cols[j]):
-                t = a.sqr() if i == j else a * b
-                acc = acc + t if qk > 0 else acc - t
+            t = [a.sqr() if i == j else a * b for a, b in zip(cols[i], cols[j])]
+            acc = t[0] if q[0] > 0 else -t[0]
+            for k in range(1, n):
+                acc = acc + t[k] if q[k] > 0 else acc - t[k]
             if i == j:
                 acc = acc - Q[i, i]
             S[i][j] = S[j][i] = acc
@@ -100,7 +103,14 @@ def check_map_pair(
     grid,
     max_failures_reported: int = MAX_WITNESSES,
 ) -> MapPairOutcome:
-    """Skip-or-certify sweep of one chart-conjugated map over the grid."""
+    """Skip-or-certify sweep of one chart-conjugated map over the grid.
+
+    A box is skipped when its image misses B, else certified when its cone
+    matrix passes Sylvester's criterion, whose minors are evaluated once, up
+    to the first that fails.  The lower bounds of all leading minors are
+    computed after the sweep, and only for the listed failing cells, each
+    rebuilt from its endpoints: a rejected block needs none of them.
+    """
     N0 = f.charts()[0]  # `conjugated` made both charts share (u, s)
     Q = cone_quadratic_form(N0.u, N0.s)
 
@@ -108,15 +118,16 @@ def check_map_pair(
         orbit = f.orbit(Bi)
         if f.eval(Bi, orbit).is_disjoint(UNIT):
             return "skipped_disjoint"
-        S = cone_matrix(f.jacobian(Bi, orbit), Q)
-        if is_positive_definite(S):
+        if is_positive_definite(cone_matrix(f.jacobian(Bi, orbit), Q)):
             return "positive_definite"
-        return {
-            "box": Bi.endpoints(),
-            "minor_lower_bounds": list(leading_minor_lower_bounds(S)),
-        }
+        return {"box": Bi.endpoints()}
 
     counts, failures = sweep(UNIT, grid, skip_or_pd, max_failures_reported)
+    for w in failures:
+        cell = Box([Interval(lo, hi) for lo, hi in w["box"]])
+        w["minor_lower_bounds"] = list(
+            leading_minor_lower_bounds(cone_matrix(f.jacobian(cell), Q))
+        )
     return MapPairOutcome(label=label, failures=failures, **counts)
 
 

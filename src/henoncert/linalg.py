@@ -249,8 +249,9 @@ def leading_minor_lower_bounds(S: IMatrix):
     n = S.nrows
     if n != S.ncols:
         raise IntervalError("leading minors require a square matrix")
-    for k in range(1, n + 1):
+    for k in range(1, n):
         yield det(unchecked_matrix(tuple(row[:k] for row in S.rows[:k]))).lo
+    yield det(S).lo
 
 
 def is_positive_definite(S: IMatrix) -> bool:

@@ -71,13 +71,19 @@ class ProofReport:
                 raise ReportError(
                     "malformed proof report: map needs decimal strings a, b "
                     f"and an integer iterate >= 1, got {map_params!r}")
-            hyp = d.get("hyperbolicity")
+            # only null or a missing key leaves the cone check out; any other
+            # value must load as a certificate, and the covering as a list
+            hyp, covering = d.get("hyperbolicity"), d["covering"]
+            if not isinstance(covering, list):
+                raise ReportError("malformed proof report: covering must be "
+                                  f"a list, got {covering!r}")
             return cls(
                 map_params=map_params,
                 hset_definitions=dict(d["hsets"]),
-                covering=[CoveringCertificate.from_dict(c) for c in d["covering"]],
+                covering=[CoveringCertificate.from_dict(c) for c in covering],
                 hyperbolicity=(
-                    HyperbolicityCertificate.from_dict(hyp) if hyp else None
+                    None if hyp is None
+                    else HyperbolicityCertificate.from_dict(hyp)
                 ),
                 total_runtime=d["total_runtime"],
                 workers=d["workers"],

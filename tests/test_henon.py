@@ -200,6 +200,17 @@ class TestIteratedMap:
                 for iv, v in zip(Y, q):
                     assert iv.lo - 1e-9 <= v <= iv.hi + 1e-9
 
+    def test_point_images_enclose_exact_rational_orbit(self, h4, rng):
+        # dyadic points are exact doubles, so H^4 of the point box must
+        # enclose the exact Fraction orbit, with no tolerance
+        for _ in range(50):
+            p = _dyadic_point(rng)
+            w = p
+            for _ in range(4):
+                w = _henon_exact(w)
+            Y = h4.eval(Box.from_point([float(v) for v in p]))
+            assert all(_exact_in(y, e) for y, e in zip(Y, w))
+
     def test_chart_roundtrip_contains(self, paper_hsets):
         a = paper_hsets["a"]
         u = Box.cube(-1, 1, 3)

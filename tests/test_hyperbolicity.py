@@ -210,6 +210,42 @@ class TestDenseReference:
                 assert S == S.transpose()
 
 
+class TestWitnessMinors:
+    """Minors are evaluated for the listed failing cells only, after the
+    sweep, and each listed set equals a direct recomputation on the cell."""
+
+    @pytest.mark.parametrize("grid, cap", [((2, 2, 2), 20), ((6, 6, 6), 3)])
+    def test_minors_only_for_listed_witnesses(
+        self, paper_hsets, h4, monkeypatch, grid, cap
+    ):
+        import henoncert.hyperbolicity as hyp
+
+        direct = hyp.leading_minor_lower_bounds
+        calls = []
+
+        def counted(S):
+            calls.append(S)
+            return direct(S)
+
+        monkeypatch.setattr(hyp, "leading_minor_lower_bounds", counted)
+        cells = list(subdivide_box(Box.cube(-1, 1, 3), grid))
+        Q = cone_quadratic_form()
+        listed = 0
+        for label, f in paper_map_pairs(h4, paper_hsets).items():
+            calls.clear()
+            out = check_map_pair(label, f, grid, cap)
+            assert len(out.failures) == min(out.failed, cap)
+            listed += len(out.failures)
+            assert len(calls) == len(out.failures)
+            for w in out.failures:
+                assert list(w) == ["index", "box", "minor_lower_bounds"]
+                cell = cells[w["index"]]
+                assert w["box"] == cell.endpoints()
+                S = cone_matrix(f.jacobian(cell), Q)
+                assert w["minor_lower_bounds"] == list(direct(S))
+        assert listed > 0
+
+
 class TestSkipAndPDSoundness:
     def test_skip_soundness_sampled(self, paper_hsets, h4, rng):
         pairs = paper_map_pairs(h4, paper_hsets)

@@ -12,6 +12,11 @@ values up to the largest double, about 1.8e308, past which results overflow
 and raise EnclosureError.
 A deliberate change of the kernel's bits (sign-aware sums, exact products)
 must change these references with it.
+
+The cone matrix and its leading minors are checked the same way, entry for
+entry under `==`, against their plain forms kept below: sums that start
+from an interval zero, `Q` checked through `Interval.__eq__`, and every
+leading minor taken from a slice.
 """
 
 import math
@@ -27,7 +32,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import henoncert
+from henoncert.hyperbolicity import cone_matrix
 from henoncert.intervals import EnclosureError, Interval, IntervalError
+from henoncert.linalg import (
+    IMatrix,
+    det,
+    is_positive_definite,
+    leading_minor_lower_bounds,
+)
 
 _INF = math.inf
 _TINY = sys.float_info.min
@@ -146,7 +158,7 @@ floats = st.one_of(
 
 
 @st.composite
-def intervals(draw):
+def intervals(draw, floats=floats):
     kind = draw(st.sampled_from(["any", "straddle", "point"]))
     if kind == "straddle":
         lo = -abs(draw(floats))
@@ -238,6 +250,108 @@ def test_mul_sign_cases_and_overflow():
         big * Interval(-3.0, 2.0)
     with pytest.raises(EnclosureError):
         Interval(-3.0, 2.0) * big
+
+
+_ZERO = Interval(0.0, 0.0)
+
+
+def ref_cone_matrix(Df, Q):
+    n = Q.nrows
+    if any(len(r) != n for r in Q.rows) or not all(
+        e.lo == e.hi and abs(e.lo) == 1.0 if i == j else e == _ZERO
+        for i, r in enumerate(Q.rows) for j, e in enumerate(r)
+    ):
+        raise IntervalError("cone form Q must be diag(+-1)")
+    q = [Q.rows[i][i].lo for i in range(n)]
+    if Df.nrows != n or Df.ncols != n:
+        raise IntervalError("Df must be square, of the size of Q")
+    cols = list(zip(*Df.rows))
+    S = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = _ZERO
+            for qk, a, b in zip(q, cols[i], cols[j]):
+                t = a.sqr() if i == j else a * b
+                acc = acc + t if qk > 0 else acc - t
+            if i == j:
+                acc = acc - Q[i, i]
+            S[i][j] = S[j][i] = acc
+    return IMatrix(S)
+
+
+def ref_leading_minor_lower_bounds(S):
+    n = S.nrows
+    if n != S.ncols:
+        raise IntervalError("leading minors require a square matrix")
+    return [det(IMatrix([row[:k] for row in S.rows[:k]])).lo
+            for k in range(1, n + 1)]
+
+
+def _same_cone_results(Df, Q):
+    """cone_matrix, its minors and Sylvester's verdict against the references."""
+    (kind, S), (ref_kind, ref_S) = (_outcome(cone_matrix, Df, Q),
+                                    _outcome(ref_cone_matrix, Df, Q))
+    assert kind == ref_kind, (Df, Q, kind, ref_kind)
+    if S is None:
+        return
+    assert S.rows == ref_S.rows, (Df, Q, S, ref_S)
+    (kind, got), (ref_kind, want) = (
+        _outcome(lambda M: list(leading_minor_lower_bounds(M)), S),
+        _outcome(ref_leading_minor_lower_bounds, ref_S),
+    )
+    assert kind == ref_kind and got == want, (S, got, want)
+    if want is not None:
+        assert is_positive_definite(S) == all(lo > 0.0 for lo in want)
+
+
+small_floats = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]),
+                         st.floats(-4.0, 4.0))
+_ZEROS = [_ZERO, Interval(-0.0, -0.0), Interval(-0.0, 0.0)]
+
+
+@st.composite
+def cone_inputs(draw):
+    """(Df, Q): Q mostly diag(+-1) of Df's size, sometimes off that form."""
+    n = draw(st.integers(1, 3))
+    zero = draw(st.sampled_from(_ZEROS))
+    q = [[Interval.point(draw(st.sampled_from([1.0, -1.0]))) if i == j else zero
+          for j in range(n)] for i in range(n)]
+    if draw(st.integers(0, 4)) == 0:  # one entry replaced
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        q[i][j] = draw(intervals(small_floats))
+    if n > 1 and draw(st.integers(0, 9)) == 0:  # not square
+        q = q[:-1]
+    m = n if draw(st.integers(0, 9)) else draw(st.integers(1, 3))
+    entries = intervals(draw(st.sampled_from([floats, small_floats])))
+    Df = IMatrix([[draw(entries) for _ in range(m)] for _ in range(m)])
+    return Df, IMatrix(q)
+
+
+@_SETTINGS
+@given(inputs=cone_inputs())
+def test_cone_matrix_and_minors_match_reference(inputs):
+    _same_cone_results(*inputs)
+
+
+@pytest.mark.parametrize("Q", [
+    IMatrix.diagonal([1.0, 1.0, -1.0]),
+    IMatrix.diagonal([-1.0, 1.0, -1.0]),
+    IMatrix.diagonal([2.0, 1.0, -1.0]),
+    IMatrix.diagonal([Interval(0.5, 1.0), 1.0, -1.0]),
+    IMatrix.diagonal([Interval(1.0, 2.0), 1.0, -1.0]),
+    IMatrix.from_floats([[1, 0.5, 0], [0, 1, 0], [0, 0, -1]]),
+    IMatrix.diagonal([1.0, -1.0]),
+    IMatrix.from_floats([[1, 0, 0], [0, 1, 0]]),
+])
+def test_cone_matrix_q_cases_match_reference(Q):
+    _same_cone_results(IMatrix.identity(3), Q)
+    _same_cone_results(IMatrix.from_floats([[2, 0.5, 0], [1, -1, 0], [0, 1, 0.1]]), Q)
+
+
+def test_leading_minors_of_a_non_square_matrix_raise_as_reference():
+    M = IMatrix.from_floats([[1, 0, 0], [0, 1, 0]])
+    assert _outcome(lambda S: list(leading_minor_lower_bounds(S)), M)[0] is IntervalError
+    assert _outcome(ref_leading_minor_lower_bounds, M)[0] is IntervalError
 
 
 _UPWARD_IMPORT = """

@@ -62,6 +62,27 @@ class TestProofReport:
             with pytest.raises(ReportError):
                 ProofReport.from_dict(d)
 
+    def test_null_or_missing_cone_check_loads_as_absent(self):
+        d = _toy_report().to_dict()
+        assert d["hyperbolicity"] is None
+        assert ProofReport.from_dict(d).hyperbolicity is None
+        del d["hyperbolicity"]
+        assert ProofReport.from_dict(d).hyperbolicity is None
+
+    @pytest.mark.parametrize("section, value", [
+        ("hyperbolicity", {}), ("hyperbolicity", []), ("hyperbolicity", 0),
+        ("hyperbolicity", False), ("hyperbolicity", ""), ("covering", {}),
+    ])
+    def test_malformed_section_is_not_absent(self, section, value, tmp_path, capsys):
+        d = {**_toy_report().to_dict(), section: value}
+        with pytest.raises(ReportError):
+            ProofReport.from_dict(d)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(d))
+        rc = main(["periodic-orbits", "ab", "--report", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "malformed proof report" in err
+
 
 class TestConsequences:
     def test_statement_needs_pass(self):
