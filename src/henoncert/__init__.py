@@ -9,7 +9,6 @@ from .linalg import (
     IMatrix,
     SingularMatrixError,
     det,
-    inverse3,
     is_positive_definite,
     subdivide_box,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "det",
     "eval_point_fast",
     "from_decimal",
-    "inverse3",
     "is_positive_definite",
     "linearization_at_center",
     "load_hsets",

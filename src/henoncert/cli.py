@@ -69,6 +69,13 @@ def _non_negative(text: str) -> int:
     return _at_least(text, 0, "non-negative")
 
 
+def _word(text: str) -> str:
+    if not text or set(text) - {"a", "b"}:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-empty word over {{a, b}}, got {text!r}")
+    return text
+
+
 def _values(text: str, n: int, item=_positive):
     """Exactly `n` comma-separated values, each parsed by `item`."""
     parts = text.split(",")
@@ -114,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodic-orbits",
                        help="state the periodic-orbit consequence of a "
                             "verified covering graph")
-    p.add_argument("word", help="cyclic word over the symbols a, b")
+    p.add_argument("word", type=_word, help="cyclic word over the symbols a, b")
     p.add_argument("--report", default=DEFAULT_REPORT, metavar="PATH",
                    help="proof report to draw the consequence from")
 
@@ -164,7 +171,7 @@ def _print_hyperbolicity(report: ProofReport):
               f"(skipped {o.skipped_disjoint}, positive definite "
               f"{o.positive_definite}, failed {o.failed})")
     if cert.passed:
-        it = report.map_params["iterate"]
+        it = report.map["iterate"]
         print(f"The {it}-th iterate is strongly hyperbolic on a union b, "
               f"hence uniformly hyperbolic on the invariant part of a union b.")
 
@@ -204,7 +211,7 @@ def cmd_periodic_orbits(args) -> int:
                         f"{type(e).__name__}: {e}")
     hsets = _hsets(f"proof report {args.report}", lambda: {
         name: hset_from_definition(name, d)
-        for name, d in report.hset_definitions.items()
+        for name, d in report.hsets.items()
     })
     try:
         print(periodic_orbit_consequence(report, args.word, hsets))

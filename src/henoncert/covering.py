@@ -82,6 +82,8 @@ class CoveringCertificate(Record):
     face_grid: tuple
     wall_time: float
 
+    derived = ("passed",)
+
     @property
     def passed(self) -> bool:
         return self.condition_I.passed and self.condition_II.passed

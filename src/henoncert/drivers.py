@@ -47,9 +47,8 @@ def run_all(
     pairs = paper_map_pairs(f, hsets)
     params = f.base.params
     report = ProofReport(
-        map_params={"a": params.a_decimal, "b": params.b_decimal,
-                    "iterate": iterate},
-        hset_definitions={name: h.to_definition() for name, h in hsets.items()},
+        map={"a": params.a_decimal, "b": params.b_decimal, "iterate": iterate},
+        hsets={name: h.to_definition() for name, h in hsets.items()},
         workers=workers,
     )
     if body_grid is not None:

@@ -92,6 +92,8 @@ class HyperbolicityCertificate(Record):
     outcomes: list[MapPairOutcome]  # per chart pair, in input order
     wall_time: float
 
+    derived = ("passed",)
+
     @property
     def passed(self) -> bool:
         return bool(self.outcomes) and all(o.passed for o in self.outcomes)

@@ -1,8 +1,8 @@
 """Rigorous interval vectors and small matrices.
 
 Products (dense, and sparse over a matrix's nonzero entries), determinants,
-the closed-form 3x3 interval inverse, the exact-rational inverse, Sylvester's
-criterion on interval matrices, and deterministic box subdivision.  Everything
+the exact-rational inverse, Sylvester's criterion on interval matrices, and
+deterministic box subdivision.  Everything
 propagates outward rounding from the interval kernel, so results enclose the
 exact values for every member matrix.
 """
@@ -20,8 +20,7 @@ _new = object.__new__
 
 
 class SingularMatrixError(ArithmeticError):
-    """The matrix is singular, or its interval determinant contains zero, so
-    no rigorous inverse exists."""
+    """The matrix is singular, so it has no inverse."""
 
 
 def unchecked_matrix(rows: tuple) -> "IMatrix":
@@ -185,35 +184,6 @@ def det(A: IMatrix) -> Interval:
     return r[0][0] * m00 - r[0][1] * m01 + r[0][2] * m02
 
 
-def inverse3(A: IMatrix) -> IMatrix:
-    """Rigorous 3x3 inverse via adjugate over the interval determinant.
-
-    The result R satisfies A @ R ∋ Identity entrywise.  Raises when the
-    determinant interval contains zero.
-    """
-    if A.nrows != 3 or A.ncols != 3:
-        raise IntervalError("inverse3 requires a 3x3 matrix")
-    d = det(A)
-    if d.lo <= 0.0 <= d.hi:
-        raise SingularMatrixError(f"determinant {d!r} contains zero")
-    r = A.rows
-    inv_d = _reciprocal(d)
-
-    def cof(i, j):
-        rows = [k for k in range(3) if k != i]
-        cols = [k for k in range(3) if k != j]
-        minor = (
-            r[rows[0]][cols[0]] * r[rows[1]][cols[1]]
-            - r[rows[0]][cols[1]] * r[rows[1]][cols[0]]
-        )
-        return minor if (i + j) % 2 == 0 else -minor
-
-    # adjugate = transposed cofactor matrix
-    return IMatrix(
-        [[cof(j, i) * inv_d for j in range(3)] for i in range(3)]
-    )
-
-
 def inverse_exact(rows) -> list:
     """Exact inverse of a square matrix of Fractions, by Gauss-Jordan.
 
@@ -236,12 +206,6 @@ def inverse_exact(rows) -> list:
             if r != c and f != 0:
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
     return [r[n:] for r in aug]
-
-
-def _reciprocal(x: Interval) -> Interval:
-    from .intervals import _down, _up
-
-    return Interval(_down(1.0 / x.hi), _up(1.0 / x.lo))
 
 
 def leading_minor_lower_bounds(S: IMatrix):

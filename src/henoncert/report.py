@@ -15,21 +15,42 @@ from . import __version__
 from .covering import CoveringCertificate
 from .hsets import COVERING_CHAIN
 from .hyperbolicity import HyperbolicityCertificate
+from .sweep import Record
 
 
 class ReportError(ValueError):
     """Malformed report, or a consequence requested without a valid proof."""
 
 
-@dataclass
-class ProofReport:
-    map_params: dict  # {"a": decimal str, "b": decimal str, "iterate": int}
-    hset_definitions: dict  # name -> decimal-string definition
-    covering: list = field(default_factory=list)  # CoveringCertificate
+@dataclass(kw_only=True)
+class ProofReport(Record):
+    """The whole proof: its JSON keys are the field names, its format the
+    field type hints (see `sweep.Record`), and it writes the derived
+    `covering_passed` and `verdict` last.  Loading also checks that `map`
+    has decimal strings `a`, `b` and an integer `iterate >= 1`, and that
+    `workers >= 1`; a missing `hyperbolicity` loads as null.
+    """
+
+    artifact_version: str = __version__
+    map: dict  # {"a": decimal str, "b": decimal str, "iterate": int}
+    hsets: dict  # name -> decimal-string definition
+    covering: list[CoveringCertificate] = field(default_factory=list)
     hyperbolicity: HyperbolicityCertificate | None = None
     total_runtime: float = 0.0
     workers: int = 1
-    version: str = __version__
+
+    derived = ("covering_passed", "verdict")
+
+    def __post_init__(self):
+        a, b, it = (self.map.get(k) for k in ("a", "b", "iterate"))
+        if not (isinstance(a, str) and isinstance(b, str)
+                and type(it) is int and it >= 1):  # bool, float, str
+            raise ReportError(
+                "malformed proof report: map needs decimal strings a, b "
+                f"and an integer iterate >= 1, got {self.map!r}")
+        if self.workers < 1:
+            raise ReportError("malformed proof report: workers must be "
+                              f">= 1, got {self.workers!r}")
 
     @property
     def covering_passed(self) -> bool:
@@ -43,52 +64,13 @@ class ProofReport:
         hyp_ok = self.hyperbolicity is not None and self.hyperbolicity.passed
         return self.covering_passed and hyp_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "artifact_version": self.version,
-            "map": self.map_params,
-            "hsets": self.hset_definitions,
-            "covering": [c.to_dict() for c in self.covering],
-            "hyperbolicity": (
-                self.hyperbolicity.to_dict() if self.hyperbolicity else None
-            ),
-            "covering_passed": self.covering_passed,
-            "verdict": self.verdict,
-            "total_runtime": self.total_runtime,
-            "workers": self.workers,
-        }
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProofReport":
         try:
-            map_params = dict(d["map"])
-            a, b, it = map_params["a"], map_params["b"], map_params["iterate"]
-            if not (isinstance(a, str) and isinstance(b, str)
-                    and type(it) is int and it >= 1):  # bool, float, str
-                raise ReportError(
-                    "malformed proof report: map needs decimal strings a, b "
-                    f"and an integer iterate >= 1, got {map_params!r}")
-            # only null or a missing key leaves the cone check out; any other
-            # value must load as a certificate, and the covering as a list
-            hyp, covering = d.get("hyperbolicity"), d["covering"]
-            if not isinstance(covering, list):
-                raise ReportError("malformed proof report: covering must be "
-                                  f"a list, got {covering!r}")
-            return cls(
-                map_params=map_params,
-                hset_definitions=dict(d["hsets"]),
-                covering=[CoveringCertificate.from_dict(c) for c in covering],
-                hyperbolicity=(
-                    None if hyp is None
-                    else HyperbolicityCertificate.from_dict(hyp)
-                ),
-                total_runtime=d["total_runtime"],
-                workers=d["workers"],
-                version=d["artifact_version"],
-            )
+            return super().from_dict({"hyperbolicity": None, **d})
         except (KeyError, TypeError, AttributeError) as e:
             raise ReportError(f"malformed proof report: {e!r}") from e
 
@@ -110,7 +92,7 @@ def symbolic_dynamics_statement(report: ProofReport) -> str:
     """The conclusion earned by a fully verified covering graph."""
     if not report.covering_passed:
         raise ReportError("covering graph did not pass; no conclusion available")
-    it = report.map_params["iterate"]
+    it = report.map["iterate"]
     return (
         f"All four covering relations among the h-sets a, b hold for the "
         f"{it}-th iterate of the map; a union b is a topological horseshoe, "
@@ -133,7 +115,7 @@ def periodic_orbit_consequence(report: ProofReport, word: str, hsets: dict) -> s
             "refusing to state consequences: the loaded report does not "
             "certify all four covering relations"
         )
-    it = report.map_params["iterate"]
+    it = report.map["iterate"]
     n = len(word)
     lines = [
         f"Verified covering chain for the cyclic word '{word}' "

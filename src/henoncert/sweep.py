@@ -14,8 +14,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from concurrent import futures
-from dataclasses import asdict, fields
+from dataclasses import fields
 from math import prod
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .intervals import Box, Interval
@@ -91,6 +92,10 @@ def fan_out(fn, arglists, workers: int):
 
 
 def _load(hint, value):
+    if get_origin(hint) is UnionType:  # X | None
+        if value is None:
+            return None
+        (hint,) = set(get_args(hint)) - {type(None)}
     origin = get_origin(hint) or hint
     if isinstance(origin, type) and issubclass(origin, Record):
         return origin.from_dict(value)
@@ -99,20 +104,43 @@ def _load(hint, value):
             raise TypeError(f"expected a list, got {value!r}")
         item = (get_args(hint) or (None,))[0]
         return origin(_load(item, v) for v in value)
-    if origin in (int, str) and type(value) is not origin:
+    if origin is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"expected a number, got {value!r}")
+    elif origin in (int, str) and type(value) is not origin:
         raise TypeError(f"expected {origin.__name__}, got {value!r}")
+    elif origin is dict and not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+def _dump(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return type(value)(_dump(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _dump(v) for k, v in value.items()}
     return value
 
 
 class Record:
-    """Dataclass mixin: `to_dict` is the fields plus the derived `passed`.
+    """Dataclass mixin: one JSON codec, declared by the field type hints.
 
-    `from_dict` reads every field back (a missing one is a KeyError) and never
-    reads `passed`: the verdict is always derived from the contents.
+    `to_dict` writes every field under its own name, a nested record through
+    its own `to_dict`, then the derived verdicts the class names in `derived`
+    (none by default).  `from_dict` reads every field back (a missing one is
+    a KeyError) and checks it against its hint: `int`, `str`, `float` (a
+    number, not a bool), `dict`, a list or tuple of an item type, a nested
+    record, or `X | None`; a value of another type is a TypeError.  It never
+    reads a derived verdict: those are always computed from the contents.
     """
 
+    derived = ()
+
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        d = {f.name: _dump(getattr(self, f.name)) for f in fields(self)}
+        return {**d, **{name: getattr(self, name) for name in self.derived}}
 
     @classmethod
     def from_dict(cls, d: dict):

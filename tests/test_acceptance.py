@@ -51,8 +51,8 @@ def hyp_cert():
 def passing_report(tmp_path_factory, covering_certs, hyp_cert):
     a, b = make_paper_hsets()
     report = ProofReport(
-        map_params={"a": "1.76", "b": "0.1", "iterate": 4},
-        hset_definitions={"a": a.to_definition(), "b": b.to_definition()},
+        map={"a": "1.76", "b": "0.1", "iterate": 4},
+        hsets={"a": a.to_definition(), "b": b.to_definition()},
         covering=covering_certs,
         hyperbolicity=hyp_cert,
     )
@@ -279,8 +279,8 @@ def test_criterion_7_consequence_gating(passing_report, tmp_path, capsys):
     )
 
     failing = ProofReport(
-        map_params=report.map_params,
-        hset_definitions=report.hset_definitions,
+        map=report.map,
+        hsets=report.hsets,
         covering=[],
     )
     fpath = tmp_path / "failing.json"

@@ -8,10 +8,8 @@ from henoncert import (
     IMatrix,
     Interval,
     IntervalError,
-    SingularMatrixError,
     det,
     from_decimal,
-    inverse3,
     is_positive_definite,
     subdivide_box,
 )
@@ -107,35 +105,6 @@ class TestDeterminant:
     def test_unsupported_dimension(self):
         with pytest.raises(IntervalError):
             det(IMatrix.identity(4))
-
-
-class TestInverse3:
-    def test_identity(self):
-        assert inverse3(IMatrix.identity(3)).contains(IMatrix.identity(3))
-
-    def test_diagonal(self):
-        R = inverse3(IMatrix.diagonal([2.0, 4.0, 5.0]))
-        assert R.contains(IMatrix.diagonal([0.5, 0.25, 0.2]))
-
-    def test_paper_basis_roundtrip(self):
-        M = _paper_basis_a()
-        assert (M @ inverse3(M)).contains(IMatrix.identity(3))
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            inverse3(IMatrix.diagonal([1.0, 0.0, 1.0]))
-
-    def test_random_inverse_containment(self, rng):
-        done = 0
-        while done < 30:
-            m = rng.uniform(-3, 3, size=(3, 3))
-            A = IMatrix.from_floats(m.tolist())
-            try:
-                R = inverse3(A)
-            except SingularMatrixError:
-                continue
-            assert (A @ R).contains(IMatrix.identity(3))
-            done += 1
 
 
 class TestSylvester:

@@ -35,8 +35,8 @@ def _toy_report(passed=True):
         certs.append(verify_covering(f.conjugated(n0, n1), (3, 3, 3), (2, 2)))
     a, b = make_paper_hsets()
     return ProofReport(
-        map_params={"a": "1.76", "b": "0.1", "iterate": 4},
-        hset_definitions={"a": a.to_definition(), "b": b.to_definition()},
+        map={"a": "1.76", "b": "0.1", "iterate": 4},
+        hsets={"a": a.to_definition(), "b": b.to_definition()},
         covering=certs,
     )
 
@@ -46,6 +46,32 @@ class TestProofReport:
         rep = _toy_report()
         back = ProofReport.from_json(rep.to_json())
         assert back.to_dict() == rep.to_dict()
+
+    def test_json_roundtrip_with_cone_certificate(self):
+        rep = run_all(body_grid=(7, 5, 3), face_grid=(3, 5), hyp_grid=(7, 4, 9),
+                      max_failures_reported=3)
+        d = json.loads(rep.to_json())
+        assert ProofReport.from_dict(d).to_dict() == rep.to_dict()
+        assert set(d) == {"artifact_version", "map", "hsets", "covering",
+                          "hyperbolicity", "total_runtime", "workers",
+                          "covering_passed", "verdict"}
+        summaries = {"condition_I": {"checked", "outside_unstable",
+                                     "inside_stable", "failed", "failures"},
+                     "condition_II": {"faces", "failed", "failures"}}
+        for c in d["covering"]:
+            assert set(c) == {*summaries, "source", "target", "A", "body_grid",
+                              "face_grid", "wall_time", "passed"}
+            for name, keys in summaries.items():
+                assert set(c[name]) == keys
+        hyp = d["hyperbolicity"]
+        assert set(hyp) == {"grid", "outcomes", "wall_time", "passed"}
+        for o in hyp["outcomes"]:
+            assert set(o) == {"label", "skipped_disjoint", "positive_definite",
+                              "failed", "failures"}
+        # the report lists witnesses of all three checks
+        assert any(c["condition_I"]["failures"] for c in d["covering"])
+        assert any(c["condition_II"]["failures"] for c in d["covering"])
+        assert any(o["failures"] for o in hyp["outcomes"])
 
     def test_verdict_requires_both_certificates(self):
         rep = _toy_report()
@@ -72,6 +98,8 @@ class TestProofReport:
     @pytest.mark.parametrize("section, value", [
         ("hyperbolicity", {}), ("hyperbolicity", []), ("hyperbolicity", 0),
         ("hyperbolicity", False), ("hyperbolicity", ""), ("covering", {}),
+        ("workers", "two"), ("workers", -3), ("workers", True),
+        ("total_runtime", "soon"), ("artifact_version", 7), ("hsets", []),
     ])
     def test_malformed_section_is_not_absent(self, section, value, tmp_path, capsys):
         d = {**_toy_report().to_dict(), section: value}
@@ -157,6 +185,16 @@ class TestCLI:
         rc = main(["periodic-orbits", "abba", "--report", str(path)])
         assert rc == 0
         assert "F^4(x) = x" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("word", ["abc", "", "AB"])
+    def test_periodic_orbits_bad_word_exits_2(self, word, tmp_path, capsys):
+        # a malformed word is bad input, not a refused consequence (exit 1)
+        path = tmp_path / "report.json"
+        _toy_report().save(path)
+        with pytest.raises(SystemExit) as e:
+            main(["periodic-orbits", word, "--report", str(path)])
+        assert e.value.code == 2
+        assert "word" in capsys.readouterr().err
 
     def test_periodic_orbits_refuses_failed_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"
