@@ -10,12 +10,12 @@ Run:  python3 demos/04_hyperbolicity.py
 from henoncert import (
     HenonMap,
     IteratedMap,
-    check_strong_hyperbolicity,
+    check_map_pair,
     cone_quadratic_form,
     make_paper_hsets,
     paper_map_pairs,
 )
-from henoncert.hyperbolicity import check_map_pair
+from henoncert.drivers import run_hyperbolicity
 
 a, b = make_paper_hsets()
 f4 = IteratedMap(HenonMap(), k=4)
@@ -23,16 +23,16 @@ pairs = paper_map_pairs(f4, {"a": a, "b": b})
 # Q = diag(Id_u, -Id_s) is read from each map's charts: diag(1, 1, -1) here
 print("Q =", cone_quadratic_form(a.u, a.s))
 
-# One pair at the shipped grid
-out = check_map_pair("aa", pairs["aa"], (25, 25, 25))
-print(f"f_aa: skipped {out.skipped_disjoint}, positive definite "
+# One pair at the shipped grid; the outcome is named by its charts
+out = check_map_pair(pairs["aa"], (25, 25, 25))
+print(f"f_{out.label}: skipped {out.skipped_disjoint}, positive definite "
       f"{out.positive_definite}, failed {out.failed}")
 
 # The whole certificate; without subdivision it cannot work
-cert = check_strong_hyperbolicity(pairs, grid=(25, 25, 25))
+cert = run_hyperbolicity(grid=(25, 25, 25))
 print("all four pairs at 25^3:", "PASS" if cert.passed else "FAIL",
       f"({cert.wall_time:.1f}s)")
 
-coarse = check_strong_hyperbolicity(pairs, grid=(1, 1, 1))
+coarse = run_hyperbolicity(grid=(1, 1, 1))
 print("whole-cube check (1^3):", "PASS" if coarse.passed else "FAIL",
       "- the unsubdivided Jacobian enclosure is far too wide")

@@ -38,7 +38,7 @@ from .covering import (
 )
 from .hyperbolicity import (
     HyperbolicityCertificate,
-    check_strong_hyperbolicity,
+    check_map_pair,
     cone_matrix,
     cone_quadratic_form,
 )
@@ -69,7 +69,7 @@ __all__ = [
     "SingularMatrixError",
     "check_condition_I",
     "check_condition_II",
-    "check_strong_hyperbolicity",
+    "check_map_pair",
     "cone_matrix",
     "cone_quadratic_form",
     "det",

@@ -9,12 +9,14 @@ Subcommands:
 
 Exit code is 0 exactly when the requested verdict is true, 1 when it is not
 or when standard output is closed early, and 2 for bad input: a malformed
-flag, h-set file or proof report.
+flag (a non-finite seed among them), h-set file or proof report, or a
+missing one.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -67,6 +69,13 @@ def _positive(text: str) -> int:
 
 def _non_negative(text: str) -> int:
     return _at_least(text, 0, "non-negative")
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def _word(text: str) -> str:
@@ -127,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attractor-sample",
                        help="NON-RIGOROUS float orbit sample as CSV")
-    p.add_argument("--seed", type=lambda s: _values(s, 3, float),
+    p.add_argument("--seed", type=lambda s: _values(s, 3, _finite),
                    default=(0.5, 0.5, 0.5), metavar="X,Y,Z")
     p.add_argument("--transient", type=_non_negative, default=1000)
     p.add_argument("--count", type=_non_negative, default=100000)
@@ -202,13 +211,11 @@ def cmd_verify(args) -> int:
 def cmd_periodic_orbits(args) -> int:
     try:
         report = ProofReport.load(args.report)
-    except FileNotFoundError:
-        print(f"error: no proof report at {args.report}; run verify-symbolic "
-              f"or verify-all first", file=sys.stderr)
-        return 1
     except _INPUT_ERRORS as e:
+        hint = ("; run verify-symbolic or verify-all first"
+                if isinstance(e, FileNotFoundError) else "")
         raise _BadInput(f"cannot use proof report {args.report}: "
-                        f"{type(e).__name__}: {e}")
+                        f"{type(e).__name__}: {e}{hint}")
     hsets = _hsets(f"proof report {args.report}", lambda: {
         name: hset_from_definition(name, d)
         for name, d in report.hsets.items()

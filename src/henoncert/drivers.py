@@ -2,29 +2,35 @@
 
 `run_all` builds every proof report from the `iterate`-th iterate of
 `HenonParams()` and the h-sets (the shipped `a` and `b` unless given); a grid
-of None leaves its theorem out.  Relation and map-pair checks fan out over
-`workers` processes (`sweep.fan_out`); results come back in a fixed order,
-keeping reports deterministic.
+of None leaves its theorem out.  It is the one loop over the four chart
+pairs: `verify_covering` and `check_map_pair` each take one chart-conjugated
+map, and `fan_out` spreads the calls over `workers` processes.  Results come
+back in the fixed order of the pairs, keeping reports deterministic.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent import futures
 
 from .covering import BODY_GRID, FACE_GRID, verify_covering
 from .henon import HenonMap, IteratedMap
 from .hsets import make_paper_hsets, paper_map_pairs
-from .hyperbolicity import (
-    HYP_GRID,
-    HyperbolicityCertificate,
-    check_strong_hyperbolicity,
-)
+from .hyperbolicity import HYP_GRID, HyperbolicityCertificate, check_map_pair
 from .report import ProofReport
-from .sweep import MAX_WITNESSES, fan_out
+from .sweep import MAX_WITNESSES
 
 
 def default_map(iterate: int = 4) -> IteratedMap:
     return IteratedMap(HenonMap(), k=iterate)
+
+
+def fan_out(fn, arglists, workers: int):
+    """[fn(*args) for args in arglists], spread over up to `workers` processes."""
+    if workers <= 1 or len(arglists) <= 1:
+        return [fn(*args) for args in arglists]
+    with futures.ProcessPoolExecutor(max_workers=min(workers, len(arglists))) as pool:
+        return list(pool.map(fn, *zip(*arglists)))
 
 
 def run_all(
@@ -44,7 +50,7 @@ def run_all(
         a, b = make_paper_hsets()
         hsets = {"a": a, "b": b}
     f = default_map(iterate)
-    pairs = paper_map_pairs(f, hsets)
+    pairs = paper_map_pairs(f, hsets).values()
     params = f.base.params
     report = ProofReport(
         map={"a": params.a_decimal, "b": params.b_decimal, "iterate": iterate},
@@ -52,39 +58,27 @@ def run_all(
         workers=workers,
     )
     if body_grid is not None:
-        tasks = [(fc, body_grid, face_grid, max_failures_reported)
-                 for fc in pairs.values()]
+        tasks = [(fc, body_grid, face_grid, max_failures_reported) for fc in pairs]
         report.covering = fan_out(verify_covering, tasks, workers)
     if hyp_grid is not None:
-        report.hyperbolicity = check_strong_hyperbolicity(
-            pairs, hyp_grid, max_failures_reported, workers=workers)
+        grid = tuple(int(g) for g in hyp_grid)
+        t1 = time.monotonic()
+        tasks = [(fc, grid, max_failures_reported) for fc in pairs]
+        outcomes = fan_out(check_map_pair, tasks, workers)
+        report.hyperbolicity = HyperbolicityCertificate(
+            grid=grid, outcomes=outcomes, wall_time=time.monotonic() - t1)
     report.total_runtime = time.monotonic() - t0
     return report
 
 
-def run_symbolic(
-    body_grid=BODY_GRID,
-    face_grid=FACE_GRID,
-    iterate: int = 4,
-    hsets: dict | None = None,
-    workers: int = 1,
-    max_failures_reported: int = MAX_WITNESSES,
-) -> list:
+def run_symbolic(body_grid=BODY_GRID, face_grid=FACE_GRID, hsets=None) -> list:
     """Covering certificates for the chain a=>a, a=>b, b=>a, b=>b."""
-    return run_all(body_grid, face_grid, None, iterate, hsets, workers,
-                   max_failures_reported).covering
+    return run_all(body_grid, face_grid, None, hsets=hsets).covering
 
 
-def run_hyperbolicity(
-    grid=HYP_GRID,
-    iterate: int = 4,
-    hsets: dict | None = None,
-    workers: int = 1,
-    max_failures_reported: int = MAX_WITNESSES,
-) -> HyperbolicityCertificate:
+def run_hyperbolicity(grid=HYP_GRID, hsets=None) -> HyperbolicityCertificate:
     """Cone-condition certificate over the four chart-conjugated maps."""
-    return run_all(None, None, grid, iterate, hsets, workers,
-                   max_failures_reported).hyperbolicity
+    return run_all(None, None, grid, hsets=hsets).hyperbolicity
 
 
 # No caller in the package: benchmarks/spans.py traces these two names and

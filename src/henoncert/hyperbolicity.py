@@ -4,7 +4,8 @@ For each chart-conjugated map f and each sub-box B_i of B = [-1,1]^3, either
 the interval image [f(B_i)] misses B entirely (B_i cannot meet the invariant
 set, so it is skipped), or Df(B_i)^T Q Df(B_i) - Q must be verifiably positive
 definite with Q = diag(Id_u, -Id_s), u and s read from f's charts.  A pass
-for all four map pairs yields uniform hyperbolicity of the invariant set.
+for all four map pairs yields uniform hyperbolicity of the invariant set;
+`drivers.run_all` runs `check_map_pair` over them.
 
 `sweep` accepts each sub-box by its own enclosure or by that of a block of
 sub-boxes containing it: a block whose image misses B counts all of them as
@@ -16,7 +17,6 @@ are each skipped or positive definite proves the cone condition.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .henon import IteratedMap
@@ -27,7 +27,7 @@ from .linalg import (
     leading_minor_lower_bounds,
     unchecked_matrix,
 )
-from .sweep import MAX_WITNESSES, UNIT, Record, fan_out, sweep
+from .sweep import MAX_WITNESSES, UNIT, Record, sweep
 
 HYP_GRID = (25, 25, 25)  # shipped cone-check grid
 
@@ -74,7 +74,7 @@ def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
 
 @dataclass
 class MapPairOutcome(Record):
-    label: str
+    label: str  # the chart names, source then target
     skipped_disjoint: int = 0
     positive_definite: int = 0
     failed: int = 0
@@ -100,12 +100,12 @@ class HyperbolicityCertificate(Record):
 
 
 def check_map_pair(
-    label: str,
-    f: IteratedMap,
+    fc: IteratedMap,
     grid,
     max_failures_reported: int = MAX_WITNESSES,
 ) -> MapPairOutcome:
-    """Skip-or-certify sweep of one chart-conjugated map over the grid.
+    """Skip-or-certify sweep of the chart-conjugated map `fc` over the grid;
+    the outcome is labelled by its charts, source then target ("ab").
 
     A box is skipped when its image misses B, else certified when its cone
     matrix passes Sylvester's criterion, whose minors are evaluated once, up
@@ -113,14 +113,14 @@ def check_map_pair(
     computed after the sweep, and only for the listed failing cells, each
     rebuilt from its endpoints: a rejected block needs none of them.
     """
-    N0 = f.charts()[0]  # `conjugated` made both charts share (u, s)
+    N0, N1 = fc.charts()  # `conjugated` made both charts share (u, s)
     Q = cone_quadratic_form(N0.u, N0.s)
 
     def skip_or_pd(Bi):
-        orbit = f.orbit(Bi)
-        if f.eval(Bi, orbit).is_disjoint(UNIT):
+        orbit = fc.orbit(Bi)
+        if fc.eval(Bi, orbit).is_disjoint(UNIT):
             return "skipped_disjoint"
-        if is_positive_definite(cone_matrix(f.jacobian(Bi, orbit), Q)):
+        if is_positive_definite(cone_matrix(fc.jacobian(Bi, orbit), Q)):
             return "positive_definite"
         return {"box": Bi.endpoints()}
 
@@ -128,31 +128,7 @@ def check_map_pair(
     for w in failures:
         cell = Box([Interval(lo, hi) for lo, hi in w["box"]])
         w["minor_lower_bounds"] = list(
-            leading_minor_lower_bounds(cone_matrix(f.jacobian(cell), Q))
+            leading_minor_lower_bounds(cone_matrix(fc.jacobian(cell), Q))
         )
-    return MapPairOutcome(label=label, failures=failures, **counts)
+    return MapPairOutcome(label=N0.name + N1.name, failures=failures, **counts)
 
-
-def check_strong_hyperbolicity(
-    maps,
-    grid=HYP_GRID,
-    max_failures_reported: int = MAX_WITNESSES,
-    workers: int = 1,
-) -> HyperbolicityCertificate:
-    """Run the cone condition for every (label, chart-conjugated map) pair.
-
-    `maps` is an ordered mapping label -> IteratedMap with charts attached;
-    the shipped drivers pass the four pairs aa, ab, ba, bb.  `workers` is the
-    most processes the pairs are spread over (1: all in this process); the
-    outcomes are the same, in the order of `maps`, for any count.
-    """
-    grid = tuple(int(g) for g in grid)
-    t0 = time.monotonic()
-    outcomes = fan_out(
-        check_map_pair,
-        [(label, f, grid, max_failures_reported) for label, f in maps.items()],
-        workers,
-    )
-    return HyperbolicityCertificate(
-        grid=grid, outcomes=outcomes, wall_time=time.monotonic() - t0
-    )

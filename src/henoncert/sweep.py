@@ -1,5 +1,5 @@
-"""The one sweep behind all three per-box checks, their shared record type,
-and the one fan-out of independent checks over worker processes.
+"""The one sweep behind all three per-box checks, and the typed JSON codec
+(`Record`) shared by their certificates and the proof report.
 
 A check is a predicate on boxes inside a gridded box, such as the local cube
 B = [-1,1]^3: it names the acceptance test a box passes, or returns a dict
@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from concurrent import futures
 from dataclasses import fields
-from math import prod
+from math import inf, prod
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -83,14 +82,6 @@ def sweep(X: Box, grid, predicate, max_witnesses: int):
     return counts, witnesses
 
 
-def fan_out(fn, arglists, workers: int):
-    """[fn(*args) for args in arglists], spread over up to `workers` processes."""
-    if workers <= 1 or len(arglists) <= 1:
-        return [fn(*args) for args in arglists]
-    with futures.ProcessPoolExecutor(max_workers=min(workers, len(arglists))) as pool:
-        return list(pool.map(fn, *zip(*arglists)))
-
-
 def _load(hint, value):
     if get_origin(hint) is UnionType:  # X | None
         if value is None:
@@ -104,9 +95,10 @@ def _load(hint, value):
             raise TypeError(f"expected a list, got {value!r}")
         item = (get_args(hint) or (None,))[0]
         return origin(_load(item, v) for v in value)
-    if origin is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"expected a number, got {value!r}")
+    if origin is float:  # every float field is a duration
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 <= value < inf):
+            raise TypeError(f"expected a finite number >= 0, got {value!r}")
     elif origin in (int, str) and type(value) is not origin:
         raise TypeError(f"expected {origin.__name__}, got {value!r}")
     elif origin is dict and not isinstance(value, dict):
@@ -131,9 +123,10 @@ class Record:
     its own `to_dict`, then the derived verdicts the class names in `derived`
     (none by default).  `from_dict` reads every field back (a missing one is
     a KeyError) and checks it against its hint: `int`, `str`, `float` (a
-    number, not a bool), `dict`, a list or tuple of an item type, a nested
-    record, or `X | None`; a value of another type is a TypeError.  It never
-    reads a derived verdict: those are always computed from the contents.
+    finite number >= 0, not a bool: every float field is a duration), `dict`,
+    a list or tuple of an item type, a nested record, or `X | None`; any other
+    value is a TypeError.  It never reads a derived verdict: those are always
+    computed from the contents.
     """
 
     derived = ()

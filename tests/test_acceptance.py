@@ -286,8 +286,9 @@ def test_criterion_7_consequence_gating(passing_report, tmp_path, capsys):
     fpath = tmp_path / "failing.json"
     failing.save(fpath)
     refused_failing = main(["periodic-orbits", "ab", "--report", str(fpath)]) == 1
+    # a missing report is bad input (exit 2), not a refused consequence
     refused_absent = (
-        main(["periodic-orbits", "ab", "--report", str(tmp_path / "nope.json")]) == 1
+        main(["periodic-orbits", "ab", "--report", str(tmp_path / "nope.json")]) == 2
     )
     ok = ok_words and refused_failing and refused_absent
     _report_line(

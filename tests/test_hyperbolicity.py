@@ -9,14 +9,13 @@ from henoncert import (
     IMatrix,
     IteratedMap,
     LinearMap,
-    check_strong_hyperbolicity,
+    check_map_pair,
     cone_matrix,
     cone_quadratic_form,
     paper_map_pairs,
 )
 from henoncert.drivers import run_hyperbolicity
 from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, make_hset
-from henoncert.hyperbolicity import check_map_pair
 from henoncert.intervals import Interval, IntervalError
 from henoncert.linalg import subdivide_box
 
@@ -96,27 +95,25 @@ class TestConeMatrix:
 class TestToyMaps:
     def test_strong_expansion_contraction_passes(self):
         f = _toy(LinearMap.scaling(2.0, 2.0, 0.25))
-        cert = check_strong_hyperbolicity({"toy": f}, grid=(3, 3, 3))
-        assert cert.passed
-        out = cert.outcomes[0]
+        out = check_map_pair(f, (3, 3, 3))
+        assert out.passed
+        assert out.label == "uu"  # the identity chart u, on both sides
         assert out.skipped_disjoint == 0
         assert out.positive_definite == 27
 
     def test_identity_fails_everywhere(self):
         f = _toy(LinearMap.identity())
-        cert = check_strong_hyperbolicity({"toy": f}, grid=(2, 2, 2))
-        assert not cert.passed
-        assert cert.outcomes[0].failed == 8
-        capped = check_strong_hyperbolicity(
-            {"toy": f}, grid=(2, 2, 2), max_failures_reported=3
-        )
-        assert capped.outcomes[0].failed == 8
-        assert capped.outcomes[0].failures == cert.outcomes[0].failures[:3]
+        out = check_map_pair(f, (2, 2, 2))
+        assert not out.passed
+        assert out.failed == 8
+        capped = check_map_pair(f, (2, 2, 2), max_failures_reported=3)
+        assert capped.failed == 8
+        assert capped.failures == out.failures[:3]
 
     def test_map_without_charts_raises(self):
         f = IteratedMap(LinearMap.scaling(2.0, 2.0, 0.25))
         with pytest.raises(IntervalError):
-            check_map_pair("toy", f, (2, 2, 2))
+            check_map_pair(f, (2, 2, 2))
 
 
 class TestPaperMaps:
@@ -126,8 +123,14 @@ class TestPaperMaps:
 
     def test_one_pair_small_grid_has_skips(self, paper_hsets, h4):
         pairs = paper_map_pairs(h4, paper_hsets)
-        out = check_map_pair("aa", pairs["aa"], (10, 10, 10))
+        out = check_map_pair(pairs["aa"], (10, 10, 10))
         assert out.skipped_disjoint > 0
+
+    def test_outcomes_are_labelled_by_charts(self, paper_hsets, h4):
+        # each outcome is named source then target, as a covering
+        # certificate's source and target are
+        for label, fc in paper_map_pairs(h4, paper_hsets).items():
+            assert check_map_pair(fc, (1, 1, 1)).label == label
 
     def test_third_hset_is_not_paired(self, paper_hsets, h4):
         # only a and b carry the covering chain; a third set changes nothing
@@ -142,21 +145,25 @@ class TestPaperMaps:
         with pytest.raises(IntervalError):
             paper_map_pairs(h4, mixed)
 
-    def test_cone_form_follows_hsets(self, h4):
-        # u=1, s=2 charts: Q = diag(1, -1, -1) comes from the charts, so the
-        # bare check agrees with the driver (diag(1, 1, -1) certifies boxes
-        # that diag(1, -1, -1) does not)
+    def test_cone_form_follows_hsets(self, paper_hsets, h4):
+        # u=1, s=2 charts: Q = diag(1, -1, -1) comes from the charts, so each
+        # pair's bare check agrees with the driver's outcome, and differs from
+        # that of the u=2, s=1 charts (diag(1, 1, -1) certifies boxes that
+        # diag(1, -1, -1) does not)
+        grid = (4, 4, 4)
         hs = _hsets_u1_s2()
-        got = check_strong_hyperbolicity(paper_map_pairs(h4, hs), (4, 4, 4)).to_dict()
-        want = run_hyperbolicity((4, 4, 4), hsets=hs).to_dict()
-        got.pop("wall_time"), want.pop("wall_time")
-        assert got == want
+        got = [check_map_pair(fc, grid).to_dict()
+               for fc in paper_map_pairs(h4, hs).values()]
+        cert = run_hyperbolicity(grid, hsets=hs)
+        assert got == [o.to_dict() for o in cert.outcomes]
+        shipped = [check_map_pair(fc, grid).to_dict()
+                   for fc in paper_map_pairs(h4, paper_hsets).values()]
+        assert got != shipped
 
     def test_whole_box_check_fails(self, paper_hsets, h4):
         # without subdivision the Jacobian enclosure is far too wide
         pairs = paper_map_pairs(h4, paper_hsets)
-        cert = check_strong_hyperbolicity(pairs, grid=(1, 1, 1))
-        assert not cert.passed
+        assert not any(check_map_pair(fc, (1, 1, 1)).passed for fc in pairs.values())
 
 
 def _width(M):
@@ -231,9 +238,9 @@ class TestWitnessMinors:
         cells = list(subdivide_box(Box.cube(-1, 1, 3), grid))
         Q = cone_quadratic_form()
         listed = 0
-        for label, f in paper_map_pairs(h4, paper_hsets).items():
+        for f in paper_map_pairs(h4, paper_hsets).values():
             calls.clear()
-            out = check_map_pair(label, f, grid, cap)
+            out = check_map_pair(f, grid, cap)
             assert len(out.failures) == min(out.failed, cap)
             listed += len(out.failures)
             assert len(calls) == len(out.failures)
@@ -300,14 +307,15 @@ class TestMonotoneRefinement:
     def test_aa_passes_at_paper_grid_and_finer(self, paper_hsets, h4):
         pairs = paper_map_pairs(h4, paper_hsets)
         for grid in ((25, 25, 25), (30, 30, 30)):
-            out = check_map_pair("aa", pairs["aa"], grid)
+            out = check_map_pair(pairs["aa"], grid)
             assert out.passed, f"aa should pass at {grid}"
 
 
 class TestCertificates:
     def test_roundtrip(self):
-        f = _toy(LinearMap.scaling(2.0, 2.0, 0.25))
-        cert = check_strong_hyperbolicity({"toy": f}, grid=(2, 2, 2))
+        # the shipped maps at 2^3: passing and failing pairs, with witnesses
+        cert = run_hyperbolicity(grid=(2, 2, 2))
+        assert any(o.failures for o in cert.outcomes)
         from henoncert import HyperbolicityCertificate
 
         back = HyperbolicityCertificate.from_dict(cert.to_dict())
@@ -316,4 +324,4 @@ class TestCertificates:
     def test_grid_validation(self):
         f = _toy(LinearMap.identity())
         with pytest.raises(Exception):
-            check_strong_hyperbolicity({"toy": f}, grid=(0, 1, 1))
+            check_map_pair(f, (0, 1, 1))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,9 +101,16 @@ class TestProofReport:
         ("hyperbolicity", False), ("hyperbolicity", ""), ("covering", {}),
         ("workers", "two"), ("workers", -3), ("workers", True),
         ("total_runtime", "soon"), ("artifact_version", 7), ("hsets", []),
+        # every float field is a duration: finite and >= 0
+        ("total_runtime", math.nan), ("total_runtime", -5.0),
+        ("total_runtime", math.inf), ("total_runtime", -math.inf),
+        ("hyperbolicity", {"grid": [2, 2, 2], "outcomes": [], "wall_time": math.inf}),
+        ("hyperbolicity", {"grid": [2, 2, 2], "outcomes": [], "wall_time": -5.0}),
+        ("covering", lambda d: [{**c, "wall_time": -5.0} for c in d["covering"]]),
     ])
     def test_malformed_section_is_not_absent(self, section, value, tmp_path, capsys):
-        d = {**_toy_report().to_dict(), section: value}
+        d = _toy_report().to_dict()
+        d[section] = value(d) if callable(value) else value
         with pytest.raises(ReportError):
             ProofReport.from_dict(d)
         path = tmp_path / "report.json"
@@ -158,7 +166,9 @@ class TestCLI:
         assert e.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", ["1,2", "1,2,3,4"])
+    # a non-finite seed is bad input, not a diverged orbit (exit 1)
+    @pytest.mark.parametrize("seed", ["1,2", "1,2,3,4", "nan,0,0", "0,inf,0",
+                                      "0,0,-inf", "1e999,0,0"])
     def test_attractor_seed_needs_three_numbers(self, seed, tmp_path, capsys):
         with pytest.raises(SystemExit) as e:
             main(["attractor-sample", "--seed", seed, "--count", "1",
@@ -167,17 +177,20 @@ class TestCLI:
 
     def test_attractor_sample_divergence(self, tmp_path, capsys):
         out = tmp_path / "orbit.csv"
-        rc = main([
-            "attractor-sample", "--seed", "100,100,100", "--transient", "0",
-            "--count", "30", "--out", str(out),
-        ])
-        assert rc == 1
+        for seed in ("100,100,100", "1e308,0,0"):  # finite seeds
+            rc = main([
+                "attractor-sample", "--seed", seed, "--transient", "0",
+                "--count", "30", "--out", str(out),
+            ])
+            assert rc == 1
 
     def test_periodic_orbits_without_report(self, tmp_path, capsys):
+        # bad input like any unreadable report, not a refused consequence
         rc = main([
             "periodic-orbits", "ab", "--report", str(tmp_path / "missing.json"),
         ])
-        assert rc == 1
+        assert rc == 2
+        assert "run verify-symbolic or verify-all first" in capsys.readouterr().err
 
     def test_periodic_orbits_with_toy_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -18,13 +18,13 @@ from henoncert import (
     IteratedMap,
     LinearMap,
     check_condition_II,
+    check_map_pair,
     paper_map_pairs,
     subdivide_box,
     verify_covering,
 )
 from henoncert import covering, hyperbolicity
 from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, make_hset
-from henoncert.hyperbolicity import check_map_pair
 from henoncert.linalg import IMatrix
 from henoncert.sweep import sweep
 
@@ -79,12 +79,12 @@ def _runs(maps, cap):
     """Every covering certificate and cone outcome of `maps`, with timings
     dropped and the accepted cells counted together, not by name."""
     out = []
-    for label, f in maps.items():
+    for f in maps.values():
         cert = verify_covering(f, BODY, FACE, cap).to_dict()
         cert.pop("wall_time")
         ci = cert["condition_I"]
         ci["accepted"] = ci.pop("outside_unstable") + ci.pop("inside_stable")
-        cone = check_map_pair(label, f, HYP, cap).to_dict()
+        cone = check_map_pair(f, HYP, cap).to_dict()
         cone["accepted"] = cone.pop("skipped_disjoint") + cone.pop("positive_definite")
         out += [cert, cone]
     return out
