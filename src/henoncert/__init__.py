@@ -24,7 +24,6 @@ from .hsets import (
     HSet,
     LocalFace,
     load_hsets,
-    make_hset,
     make_paper_hsets,
     paper_map_pairs,
     save_hsets,
@@ -78,7 +77,6 @@ __all__ = [
     "is_positive_definite",
     "linearization_at_center",
     "load_hsets",
-    "make_hset",
     "make_paper_hsets",
     "paper_map_pairs",
     "periodic_orbit_consequence",

@@ -23,7 +23,7 @@ import sys
 from . import __version__, drivers
 from .covering import BODY_GRID, FACE_GRID
 from .henon import DivergenceError, HenonParams, eval_point_fast
-from .hsets import hset_from_definition, load_hsets
+from .hsets import HSet, load_hsets
 from .hyperbolicity import HYP_GRID
 from .report import (
     ProofReport,
@@ -217,9 +217,7 @@ def cmd_periodic_orbits(args) -> int:
         raise _BadInput(f"cannot use proof report {args.report}: "
                         f"{type(e).__name__}: {e}{hint}")
     hsets = _hsets(f"proof report {args.report}", lambda: {
-        name: hset_from_definition(name, d)
-        for name, d in report.hsets.items()
-    })
+        name: HSet(name, d) for name, d in report.hsets.items()})
     try:
         print(periodic_orbit_consequence(report, args.word, hsets))
     except ReportError as e:

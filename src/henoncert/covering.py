@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import prod
 
 from .henon import IteratedMap
 from .intervals import Box, EnclosureError, Interval, unchecked_box
@@ -62,7 +63,7 @@ class ConditionISummary(Record):
 
 @dataclass
 class ConditionIISummary(Record):
-    faces: list = field(default_factory=list)  # per-face {axis, sign, checked}
+    faces: list[dict] = field(default_factory=list)  # per face {axis, sign, checked}
     failed: int = 0
     failures: list = field(default_factory=list)
 
@@ -78,15 +79,18 @@ class CoveringCertificate(Record):
     condition_I: ConditionISummary
     condition_II: ConditionIISummary
     A: list
-    body_grid: tuple
-    face_grid: tuple
+    body_grid: tuple[int, ...]
+    face_grid: tuple[int, ...]
     wall_time: float
 
     derived = ("passed",)
 
     @property
     def passed(self) -> bool:
-        return self.condition_I.passed and self.condition_II.passed
+        """Both conditions passed, on every cell of the grids they claim."""
+        ci, cii = self.condition_I, self.condition_II
+        return (ci.passed and cii.passed and ci.checked == prod(self.body_grid)
+                and all(f.get("checked") == prod(self.face_grid) for f in cii.faces))
 
 
 def linearization_at_center(fc: IteratedMap) -> IMatrix:

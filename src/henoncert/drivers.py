@@ -61,12 +61,11 @@ def run_all(
         tasks = [(fc, body_grid, face_grid, max_failures_reported) for fc in pairs]
         report.covering = fan_out(verify_covering, tasks, workers)
     if hyp_grid is not None:
-        grid = tuple(int(g) for g in hyp_grid)
         t1 = time.monotonic()
-        tasks = [(fc, grid, max_failures_reported) for fc in pairs]
+        tasks = [(fc, hyp_grid, max_failures_reported) for fc in pairs]
         outcomes = fan_out(check_map_pair, tasks, workers)
         report.hyperbolicity = HyperbolicityCertificate(
-            grid=grid, outcomes=outcomes, wall_time=time.monotonic() - t1)
+            grid=tuple(hyp_grid), outcomes=outcomes, wall_time=time.monotonic() - t1)
     report.total_runtime = time.monotonic() - t0
     return report
 

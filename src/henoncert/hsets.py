@@ -1,14 +1,18 @@
-"""H-sets: affine charts with exit/entry structure.
+"""H-sets: affine charts with exit/entry structure, built from decimal data.
 
-An h-set is the image of the cube B = [-1,1]^3 under p -> c + M p, with u
-exit (unstable) and s entry (stable) dimensions.  `make_hset` computes M^-1
-exactly from the decimal definition with `fractions.Fraction` and stores the
-tightest interval around each entry: a point where the entry is a double (as
-the exact zeros are), else one ulp wide.  The chart maps and the chart products
-of a Jacobian sum only over the nonzero entries of M and M^-1, listed once per
+An h-set is the image of the cube B = [-1,1]^n under p -> c + M p, with u
+exit (unstable) and s entry (stable) dimensions.  `HSet(name, definition)` is
+the one way to build one, from a JSON-shaped definition: `center` a list of n
+decimal strings, `basis` an n x n list of lists of them, and the integers `u`
+and `s` (default 2 and 1).  The h-set keeps its own immutable copy of that
+definition, which `to_definition` returns, so a report echoes exactly the
+sets it certified.  Everything else derives from it: the tightest interval
+around each decimal, and M^-1 computed exactly with `fractions.Fraction`,
+each entry enclosed in a point where it is a double (as the exact zeros
+are), else one ulp wide.  The chart maps and the chart products of a
+Jacobian sum only over the nonzero entries of M and M^-1, listed once per
 h-set; a dropped point-zero term is exactly 0, so both chart directions stay
-rigorous.  Definitions round-trip through decimal strings for archival
-certificates.
+rigorous.
 """
 
 from __future__ import annotations
@@ -22,33 +26,71 @@ from .linalg import (IMatrix, inverse_exact, nonzero_entries, sparse_dot,
                      unchecked_matrix)
 
 
-@dataclass(frozen=True)
-class HSet:
-    name: str
-    center: Box  # zero-width, the vector c
-    basis: IMatrix  # M, columns are edge half-vectors
-    basis_inv: IMatrix  # verified enclosure of M^-1
-    u: int
-    s: int
-    definition: tuple | None = None  # (center decimals, basis decimals) as given
-    # nonzero (index, entry) pairs of M's rows, M's columns and M^-1's rows
-    _rows: tuple = field(init=False, repr=False, compare=False)
-    _cols: tuple = field(init=False, repr=False, compare=False)
-    _inv_rows: tuple = field(init=False, repr=False, compare=False)
+def _strings(value, n: int | None = None) -> bool:
+    """True when `value` is a list of strings, of length n unless n is None."""
+    return (isinstance(value, (list, tuple)) and all(type(d) is str for d in value)
+            and (n is None or len(value) == n))
 
-    def __post_init__(self):
-        n = self.center.dim
-        if self.u < 1 or self.s < 0 or self.u + self.s != n:
-            raise IntervalError(
-                f"need u >= 1, s >= 0 and u+s = {n}, got u={self.u}, s={self.s}"
-            )
-        if any((m.nrows, m.ncols) != (n, n) for m in (self.basis, self.basis_inv)):
-            raise IntervalError(f"basis and its inverse must be {n}x{n} like the center")
-        if not (self.basis @ self.basis_inv).contains(IMatrix.identity(n)):
-            raise IntervalError("basis inverse fails the containment check")
-        object.__setattr__(self, "_rows", nonzero_entries(self.basis.rows))
-        object.__setattr__(self, "_cols", nonzero_entries(zip(*self.basis.rows)))
-        object.__setattr__(self, "_inv_rows", nonzero_entries(self.basis_inv.rows))
+
+@dataclass(frozen=True, init=False)
+class HSet:
+    """An h-set and its definition; the derived fields are not compared.
+
+    Raises IntervalError for a definition that is not of the shape above or
+    whose decimals are out of double range (the entries of M^-1 among them),
+    and SingularMatrixError for a singular basis.
+    """
+
+    name: str
+    definition: tuple  # (center, basis, u, s), the decimals as nested tuples
+    center: Box = field(repr=False, compare=False)  # c, enclosed
+    basis: IMatrix = field(repr=False, compare=False)  # M, columns are edge half-vectors
+    basis_inv: IMatrix = field(repr=False, compare=False)  # verified enclosure of M^-1
+    u: int = field(repr=False, compare=False)
+    s: int = field(repr=False, compare=False)
+    # nonzero (index, entry) pairs of M's rows, M's columns and M^-1's rows
+    _rows: tuple = field(repr=False, compare=False)
+    _cols: tuple = field(repr=False, compare=False)
+    _inv_rows: tuple = field(repr=False, compare=False)
+
+    def __init__(self, name: str, definition: dict):
+        def bad(why):
+            return IntervalError(f"h-set {name!r}: {why}")
+
+        if not isinstance(definition, dict):
+            raise bad(f"expected an object, got {definition!r}")
+        unknown = set(definition) - {"center", "basis", "u", "s"}
+        if unknown:
+            raise bad(f"unknown keys {sorted(unknown)}")
+        c, m = definition.get("center"), definition.get("basis")
+        u, s = definition.get("u", 2), definition.get("s", 1)
+        if not _strings(c):
+            raise bad(f"center must be a list of decimal strings, got {c!r}")
+        n = len(c)
+        if not (isinstance(m, (list, tuple)) and len(m) == n
+                and all(_strings(r, n) for r in m)):
+            raise bad(f"basis must be a {n}x{n} list of lists of decimal strings, "
+                      f"got {m!r}")
+        if type(u) is not int or type(s) is not int:  # bool, float, str
+            raise bad(f"u and s must be integers, got {u!r}, {s!r}")
+        if u < 1 or s < 0 or u + s != n:
+            raise bad(f"need u >= 1, s >= 0 and u+s = {n}, got u={u}, s={s}")
+        basis = IMatrix([[from_decimal(d) for d in r] for r in m])
+        exact = inverse_exact([[Fraction(d) for d in r] for r in m])  # parsed above
+        basis_inv = IMatrix([[from_fraction(q) for q in r] for r in exact])
+        if not (basis @ basis_inv).contains(IMatrix.identity(n)):
+            raise bad("basis inverse fails the containment check")
+        state = {
+            "name": name,
+            "definition": (tuple(c), tuple(map(tuple, m)), u, s),
+            "center": Box([from_decimal(d) for d in c]),
+            "basis": basis, "basis_inv": basis_inv, "u": u, "s": s,
+            "_rows": nonzero_entries(basis.rows),
+            "_cols": nonzero_entries(zip(*basis.rows)),
+            "_inv_rows": nonzero_entries(basis_inv.rows),
+        }
+        for key, value in state.items():
+            object.__setattr__(self, key, value)
 
     @property
     def dim(self) -> int:
@@ -98,29 +140,10 @@ class HSet:
                 faces.append(LocalFace(axis, sign, self.dim))
         return faces
 
-    def translated(self, offset) -> "HSet":
-        """Same chart moved by a world offset; used for negative controls."""
-        center = self.center + Box.from_point(offset)
-        return HSet(
-            name=f"{self.name}+shift",
-            center=center,
-            basis=self.basis,
-            basis_inv=self.basis_inv,
-            u=self.u,
-            s=self.s,
-        )
-
     def to_definition(self) -> dict:
-        if self.definition is not None:
-            c, m = self.definition
-            return {"center": list(c), "basis": [list(r) for r in m],
-                    "u": self.u, "s": self.s}
-        return {
-            "center": [repr(iv.mid()) for iv in self.center],
-            "basis": [[repr(e.mid()) for e in row] for row in self.basis.rows],
-            "u": self.u,
-            "s": self.s,
-        }
+        """The definition as given, in fresh lists: center, basis, u, s."""
+        c, m, u, s = self.definition
+        return {"center": list(c), "basis": [list(r) for r in m], "u": u, "s": s}
 
 
 @dataclass(frozen=True)
@@ -138,29 +161,6 @@ class LocalFace:
 
     def free_axes(self):
         return [i for i in range(self.dim) if i != self.axis]
-
-
-def make_hset(name: str, center_decimals, basis_decimals, u: int = 2, s: int = 1) -> HSet:
-    """Build an h-set from decimal strings, with the exact-rational chart inverse.
-
-    Raises SingularMatrixError for a singular basis and IntervalError when an
-    entry of the inverse is out of double range.
-    """
-    center = Box([from_decimal(str(d)) for d in center_decimals])
-    basis = IMatrix([[from_decimal(str(d)) for d in row] for row in basis_decimals])
-    exact = [[Fraction(str(d)) for d in row] for row in basis_decimals]  # parsed above
-    return HSet(
-        name=name,
-        center=center,
-        basis=basis,
-        basis_inv=IMatrix([[from_fraction(q) for q in row] for row in inverse_exact(exact)]),
-        u=u,
-        s=s,
-        definition=(
-            tuple(str(d) for d in center_decimals),
-            tuple(tuple(str(d) for d in row) for row in basis_decimals),
-        ),
-    )
 
 
 # The two parallelepipeds around the folded-towel attractor whose union carries
@@ -194,10 +194,7 @@ COVERING_CHAIN = (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
 
 def make_paper_hsets():
     """The h-sets a and b used by the shipped certification drivers."""
-    return (
-        make_hset("a", HSET_A_DEFINITION["center"], HSET_A_DEFINITION["basis"]),
-        make_hset("b", HSET_B_DEFINITION["center"], HSET_B_DEFINITION["basis"]),
-    )
+    return HSet("a", HSET_A_DEFINITION), HSet("b", HSET_B_DEFINITION)
 
 
 def paper_map_pairs(f, hsets: dict) -> dict:
@@ -208,21 +205,11 @@ def paper_map_pairs(f, hsets: dict) -> dict:
     return {i + j: f.conjugated(hsets[i], hsets[j]) for i, j in COVERING_CHAIN}
 
 
-def hset_from_definition(name: str, d: dict) -> HSet:
-    unknown = set(d) - {"center", "basis", "u", "s"}
-    if unknown:
-        raise IntervalError(f"h-set {name!r}: unknown keys {sorted(unknown)}")
-    u, s = d.get("u", 2), d.get("s", 1)
-    if type(u) is not int or type(s) is not int:  # bool, float, str
-        raise IntervalError(f"h-set {name!r}: u and s must be integers, got {u!r}, {s!r}")
-    return make_hset(name, d["center"], d["basis"], u=u, s=s)
-
-
 def load_hsets(path) -> dict:
     """Load named h-set definitions (decimal strings only) from a JSON file."""
     with open(path) as fh:
         raw = json.load(fh)
-    return {name: hset_from_definition(name, d) for name, d in raw.items()}
+    return {name: HSet(name, d) for name, d in raw.items()}
 
 
 def save_hsets(path, hsets: dict) -> None:

@@ -18,6 +18,7 @@ are each skipped or positive definite proves the cone condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .henon import IteratedMap
 from .intervals import Box, Interval, IntervalError
@@ -88,7 +89,7 @@ class MapPairOutcome(Record):
 
 @dataclass
 class HyperbolicityCertificate(Record):
-    grid: tuple
+    grid: tuple[int, ...]
     outcomes: list[MapPairOutcome]  # per chart pair, in input order
     wall_time: float
 
@@ -96,7 +97,11 @@ class HyperbolicityCertificate(Record):
 
     @property
     def passed(self) -> bool:
-        return bool(self.outcomes) and all(o.passed for o in self.outcomes)
+        """Every outcome passed, and counted every cell of the grid."""
+        cells = prod(self.grid)
+        return bool(self.outcomes) and all(
+            o.passed and o.skipped_disjoint + o.positive_definite + o.failed == cells
+            for o in self.outcomes)
 
 
 def check_map_pair(

@@ -232,11 +232,11 @@ def is_positive_definite(S: IMatrix) -> bool:
 def grid_pieces(X: Box, grid) -> list:
     """Per axis, the `Interval.split` pieces of X's coordinate by the grid's
     split count; a cell of the grid takes one piece per axis."""
-    grid = tuple(int(g) for g in grid)
+    grid = tuple(grid)
     if len(grid) != X.dim:
         raise IntervalError("grid length must match box dimension")
-    if any(g < 1 for g in grid):
-        raise IntervalError(f"grid counts must be >= 1, got {grid}")
+    if any(type(g) is not int or g < 1 for g in grid):  # bool, float
+        raise IntervalError(f"grid counts must be integers >= 1, got {grid}")
     return [c.split(g) for c, g in zip(X.coords, grid)]
 
 

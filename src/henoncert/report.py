@@ -22,6 +22,12 @@ class ReportError(ValueError):
     """Malformed report, or a consequence requested without a valid proof."""
 
 
+def _each_pair_once(pairs) -> bool:
+    """True when `pairs` are the (source, target) pairs of COVERING_CHAIN,
+    each exactly once, in any order."""
+    return sorted(pairs) == sorted(COVERING_CHAIN)
+
+
 @dataclass(kw_only=True)
 class ProofReport(Record):
     """The whole proof: its JSON keys are the field names, its format the
@@ -54,15 +60,15 @@ class ProofReport(Record):
 
     @property
     def covering_passed(self) -> bool:
-        if len(self.covering) != len(COVERING_CHAIN):
-            return False
-        seen = {(c.source, c.target) for c in self.covering}
-        return seen == set(COVERING_CHAIN) and all(c.passed for c in self.covering)
+        return (_each_pair_once((c.source, c.target) for c in self.covering)
+                and all(c.passed for c in self.covering))
 
     @property
     def verdict(self) -> bool:
-        hyp_ok = self.hyperbolicity is not None and self.hyperbolicity.passed
-        return self.covering_passed and hyp_ok
+        """The covering chain and the cone check on its four pairs passed."""
+        h = self.hyperbolicity
+        return (self.covering_passed and h is not None and h.passed
+                and _each_pair_once(tuple(o.label) for o in h.outcomes))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -24,7 +24,7 @@ from henoncert import (
 )
 from henoncert.cli import main
 from henoncert.drivers import run_all, run_hyperbolicity, run_symbolic
-from henoncert.hsets import save_hsets
+from henoncert.hsets import HSET_A_DEFINITION, HSet, save_hsets
 from henoncert.report import COVERING_CHAIN, ProofReport
 
 PAPER_BODY = (20, 20, 20)
@@ -228,9 +228,9 @@ def test_criterion_5_negative_controls(tmp_path):
         identity_cert.condition_I.failures or identity_cert.condition_II.failures
     )
 
-    # +0.5 world offset along the chart's long axis (the second coordinate,
-    # spanned by the 0.1825 half-width column)
-    shifted = a.translated((0.0, 0.5, 0.0))
+    # a's center moved +0.5 along the chart's long axis (the second world
+    # coordinate, spanned by the 0.1825 half-width column)
+    shifted = HSet("a+shift", {**HSET_A_DEFINITION, "center": ["0.81", "1.5225", "0.975"]})
     f4 = IteratedMap(HenonMap(), k=4)
     shift_cert = verify_covering(f4.conjugated(a, shifted), PAPER_BODY, PAPER_FACE)
     shift_ok = not shift_cert.passed and (

@@ -13,14 +13,15 @@ from henoncert import (
     verify_covering,
 )
 from henoncert.covering import _body_accepts, mean_value_image
-from henoncert.hsets import make_hset
+from henoncert.drivers import run_all
+from henoncert.hsets import HSet
 from henoncert.intervals import EnclosureError, Interval, IntervalError
 
 UNIT_BASIS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
 def unit_hset(name="u", u=2, s=1):
-    return make_hset(name, ["0", "0", "0"], UNIT_BASIS, u=u, s=s)
+    return HSet(name, {"center": ["0", "0", "0"], "basis": UNIT_BASIS, "u": u, "s": s})
 
 
 def on_unit_chart(base):
@@ -153,6 +154,24 @@ class TestGridValidation:
         f = on_unit_chart(LinearMap.scaling(3, 3, 0.25))
         with pytest.raises(IntervalError):
             verify_covering(f, **{"body_grid": (1, 1, 1), "face_grid": (1, 1), **grids})
+
+    @pytest.mark.parametrize("grids", [
+        # int() would run 2 cells and record 2.9
+        dict(body_grid=(2.9, 1, 1)), dict(face_grid=(1, 2.5)),
+        dict(body_grid=(1.0, 1, 1)), dict(body_grid=(True, 1, 1)),
+    ])
+    def test_non_integer_count_raises(self, grids):
+        f = on_unit_chart(LinearMap.scaling(3, 3, 0.25))
+        with pytest.raises(IntervalError):
+            verify_covering(f, **{"body_grid": (1, 1, 1), "face_grid": (1, 1), **grids})
+
+    @pytest.mark.parametrize("grids", [
+        dict(body_grid=(2.9, 2, 2), hyp_grid=None),
+        dict(body_grid=None, hyp_grid=(2, 2.0, 2)),
+    ])
+    def test_driver_records_only_grids_it_ran(self, grids):
+        with pytest.raises(IntervalError):
+            run_all(**grids)
 
 
 class TestWitnessValidity:

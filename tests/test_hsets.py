@@ -1,17 +1,24 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from henoncert import (Box, HSet, IMatrix, Interval, SingularMatrixError,
-                       make_hset, make_paper_hsets)
-from henoncert.hsets import (HSET_A_DEFINITION, HSET_B_DEFINITION,
-                             hset_from_definition, load_hsets, save_hsets)
+                       make_paper_hsets)
+from henoncert.hsets import (HSET_A_DEFINITION, HSET_B_DEFINITION, load_hsets,
+                             save_hsets)
 from henoncert.intervals import IntervalError
 from test_henon import _dyadic_point, _inverse_exact
 from test_hyperbolicity import _width, _within_an_ulp
 
 DEFINITIONS = {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}
+UNIT_BASIS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+def at_origin(basis, **us):
+    """A definition centered at the origin with the given basis."""
+    return {"center": ["0", "0", "0"], "basis": basis, **us}
 
 
 def _exact_in(iv, frac):
@@ -179,13 +186,15 @@ class TestConstructionErrors:
         for basis in ([["1", "0", "0"], ["2", "0", "0"], ["0", "0", "1"]],
                       [["0.1", "0.2", "0"], ["0.3", "0.6", "0"], ["0", "0", "1"]]):
             with pytest.raises(SingularMatrixError):
-                make_hset("bad", ["0", "0", "0"], basis)
+                HSet("bad", at_origin(basis))
 
     def test_chart_matrices_must_be_square(self):
-        a, _ = make_paper_hsets()
-        cut = IMatrix([r[:2] for r in a.basis_inv.rows])  # passes `contains`
-        with pytest.raises(IntervalError):
-            HSet("bad", a.center, a.basis, cut, a.u, a.s)
+        # the basis must be n x n for the n decimals of the center
+        rows = HSET_A_DEFINITION["basis"]
+        for basis in ([r[:2] for r in rows], rows[:2],
+                      [r + ["0"] for r in rows] + [["0", "0", "0", "1"]]):
+            with pytest.raises(IntervalError):
+                HSet("bad", {**HSET_A_DEFINITION, "basis": basis})
 
     def test_chart_products_check_dimensions(self):
         a, _ = make_paper_hsets()
@@ -200,23 +209,34 @@ class TestConstructionErrors:
 
     def test_inverse_out_of_double_range(self):
         with pytest.raises(IntervalError):
-            make_hset("bad", ["0", "0", "0"],
-                      [["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+            HSet("bad", at_origin([["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
 
     @pytest.mark.parametrize("u, s", [(2.7, True), (2.0, 1), (2, True), ("2", 1), (None, 1)])
     def test_u_and_s_must_be_integers(self, u, s):
         with pytest.raises(IntervalError):
-            hset_from_definition("a", {**HSET_A_DEFINITION, "u": u, "s": s})
+            HSet("a", {**HSET_A_DEFINITION, "u": u, "s": s})
 
     def test_bad_dimensions(self):
         with pytest.raises(IntervalError):
-            make_hset(
-                "bad",
-                ["0", "0", "0"],
-                [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-                u=2,
-                s=2,
-            )
+            HSet("bad", at_origin(UNIT_BASIS, u=2, s=2))
+
+    @pytest.mark.parametrize("definition", [
+        {"center": "123", "basis": ["100", "010", "001"]},  # once read as (1, 2, 3), I
+        {**HSET_A_DEFINITION, "center": "0.81"},
+        {**HSET_A_DEFINITION, "basis": ["0 0.19 -0.03", *HSET_A_DEFINITION["basis"][1:]]},
+        {**HSET_A_DEFINITION, "center": [0.81, "1.0225", "0.975"]},  # a number
+        {**HSET_A_DEFINITION, "basis": [["0", 0.19, "-0.03"], *HSET_A_DEFINITION["basis"][1:]]},
+        {**HSET_A_DEFINITION, "center": ["0.81", None, "0.975"]},
+        {**HSET_A_DEFINITION, "basis": [["0", "0.19"], *HSET_A_DEFINITION["basis"][1:]]},  # ragged
+        {"basis": UNIT_BASIS},  # no center
+        {"center": ["0", "0", "0"]},  # no basis
+        {**HSET_A_DEFINITION, "basis": "I"},
+        [HSET_A_DEFINITION["center"], HSET_A_DEFINITION["basis"]],  # not an object
+        {**HSET_A_DEFINITION, "center": ["0.81", "one", "0.975"]},  # not a decimal
+    ])
+    def test_definition_must_be_lists_of_decimal_strings(self, definition):
+        with pytest.raises(IntervalError):
+            HSet("bad", definition)
 
 
 class TestConfigFile:
@@ -231,3 +251,52 @@ class TestConfigFile:
             assert back.center == orig.center
             assert back.basis == orig.basis
             assert (back.u, back.s) == (orig.u, orig.s)
+
+
+class TestOneConstructor:
+    """`HSet(name, definition)` keeps the definition it was given, and
+    `to_definition` echoes it exactly."""
+
+    def _same_chart(self, h, k, rng):
+        assert h.to_definition() == k.to_definition()
+        assert (h.center, h.basis, h.basis_inv, h.u, h.s) == (
+            k.center, k.basis, k.basis_inv, k.u, k.s)
+        for _ in range(20):
+            lo = rng.uniform(-1, 0.8, size=3)
+            X = Box([Interval(v, v + 0.2) for v in lo])
+            assert h.world_from_local(X) == k.world_from_local(X)
+            assert h.local_from_world(X) == k.local_from_world(X)
+
+    def test_echo_is_the_definition(self):
+        for name, h in zip("ab", make_paper_hsets()):
+            assert h.to_definition() == DEFINITIONS[name]
+            assert list(h.to_definition()) == ["center", "basis", "u", "s"]
+
+    def test_round_trip_through_the_echo(self, paper_hsets, rng):
+        for name, h in paper_hsets.items():
+            back = HSet(name, h.to_definition())
+            assert back == h
+            self._same_chart(h, back, rng)
+
+    def test_key_order_does_not_matter(self, paper_hsets, rng, tmp_path):
+        path = tmp_path / "hsets.json"
+        path.write_text(json.dumps({
+            name: {k: h.to_definition()[k] for k in ("s", "basis", "u", "center")}
+            for name, h in paper_hsets.items()}))
+        loaded = load_hsets(path)
+        for name, h in paper_hsets.items():
+            assert list(loaded[name].to_definition()) == ["center", "basis", "u", "s"]
+            self._same_chart(h, loaded[name], rng)
+
+    def test_defaults_are_echoed(self):
+        d = at_origin(UNIT_BASIS)
+        assert HSet("u", d).to_definition() == {**d, "u": 2, "s": 1}
+
+    def test_definition_is_copied_both_ways(self):
+        d = json.loads(json.dumps(HSET_A_DEFINITION))
+        h = HSet("a", d)
+        d["center"][0] = "9"
+        d["basis"][0][0] = "9"
+        echo = h.to_definition()
+        echo["basis"][1][0] = "7"
+        assert h.to_definition() == HSET_A_DEFINITION

@@ -15,22 +15,22 @@ from henoncert import (
     paper_map_pairs,
 )
 from henoncert.drivers import run_hyperbolicity
-from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, make_hset
+from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, HSet
 from henoncert.intervals import Interval, IntervalError
 from henoncert.linalg import subdivide_box
 
 
 def _toy(base):
     """A toy map on the identity chart, u=2, s=1."""
-    N = make_hset("u", ["0", "0", "0"],
-                  [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    N = HSet("u", {"center": ["0", "0", "0"],
+                   "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
     return IteratedMap(base).conjugated(N, N)
 
 
 def _hsets_u1_s2():
     """The shipped charts read with one exit and two entry directions."""
     return {
-        name: make_hset(name, d["center"], d["basis"], u=1, s=2)
+        name: HSet(name, {**d, "u": 1, "s": 2})
         for name, d in (("a", HSET_A_DEFINITION), ("b", HSET_B_DEFINITION))
     }
 
@@ -134,7 +134,7 @@ class TestPaperMaps:
 
     def test_third_hset_is_not_paired(self, paper_hsets, h4):
         # only a and b carry the covering chain; a third set changes nothing
-        c = paper_hsets["a"].translated((0.0, 3.0, 0.0))
+        c = HSet("c", {**HSET_A_DEFINITION, "center": ["0.81", "4.0225", "0.975"]})
         hs = {**paper_hsets, "c": c}
         assert list(paper_map_pairs(h4, hs)) == ["aa", "ab", "ba", "bb"]
         cert = run_hyperbolicity((1, 1, 1), hsets=hs)

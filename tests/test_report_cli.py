@@ -9,36 +9,39 @@ import pytest
 
 import henoncert
 from henoncert import (
+    HyperbolicityCertificate,
+    IntervalError,
     IteratedMap,
     LinearMap,
     ProofReport,
     ReportError,
+    check_map_pair,
     make_paper_hsets,
     periodic_orbit_consequence,
     verify_covering,
 )
 from henoncert.cli import main
 from henoncert.drivers import run_all, run_hyperbolicity, run_symbolic
-from henoncert.hsets import make_hset
+from henoncert.hsets import HSet
 from henoncert.report import COVERING_CHAIN, symbolic_dynamics_statement
 
 
-def _toy_report(passed=True):
-    """Report whose covering graph is a/b labelled toy self-coverings."""
+def _toy_report(passed=True, cone=False):
+    """Report whose covering graph is a/b labelled toy self-coverings, and
+    with `cone` the cone check of the same maps."""
     scale = (3.0, 3.0, 0.25) if passed else (1.0, 1.0, 1.0)
     f = IteratedMap(LinearMap.scaling(*scale))
-    certs = []
-    for i, j in COVERING_CHAIN:
-        n0 = make_hset(i, ["0", "0", "0"],
-                       [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-        n1 = make_hset(j, ["0", "0", "0"],
-                       [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-        certs.append(verify_covering(f.conjugated(n0, n1), (3, 3, 3), (2, 2)))
+    unit = {"center": ["0", "0", "0"],
+            "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    pairs = [f.conjugated(HSet(i, unit), HSet(j, unit)) for i, j in COVERING_CHAIN]
     a, b = make_paper_hsets()
     return ProofReport(
         map={"a": "1.76", "b": "0.1", "iterate": 4},
         hsets={"a": a.to_definition(), "b": b.to_definition()},
-        covering=certs,
+        covering=[verify_covering(fc, (3, 3, 3), (2, 2)) for fc in pairs],
+        hyperbolicity=HyperbolicityCertificate(
+            grid=(2, 2, 2), outcomes=[check_map_pair(fc, (2, 2, 2)) for fc in pairs],
+            wall_time=0.0) if cone else None,
     )
 
 
@@ -78,6 +81,43 @@ class TestProofReport:
         rep = _toy_report()
         assert rep.covering_passed
         assert not rep.verdict  # no hyperbolicity certificate yet
+        assert _toy_report(cone=True).verdict
+
+    @pytest.mark.parametrize("outcomes", [
+        lambda o: o[:1],  # aa only
+        lambda o: [o[0]] * 4,  # aa four times
+        lambda o: o[:3] + [{**o[3], "label": "zz"}],
+        lambda o: o + o[:1],
+    ])
+    def test_verdict_needs_each_cone_pair_once(self, outcomes):
+        d = _toy_report(cone=True).to_dict()
+        d["hyperbolicity"]["outcomes"] = outcomes(d["hyperbolicity"]["outcomes"])
+        rep = ProofReport.from_dict(d)
+        assert rep.covering_passed and rep.hyperbolicity.passed  # each outcome passed
+        assert not rep.verdict
+
+    def test_covering_pairs_in_any_order_pass(self):
+        d = _toy_report(cone=True).to_dict()
+        d["covering"].reverse()
+        d["hyperbolicity"]["outcomes"].reverse()
+        assert ProofReport.from_dict(d).verdict
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["hyperbolicity"].update(grid=[1000, 1000, 1000]),
+        lambda d: d["hyperbolicity"]["outcomes"][2].update(positive_definite=1),
+        lambda d: d["covering"][1].update(body_grid=[1000, 1000, 1000]),
+        lambda d: d["covering"][1].update(face_grid=[1000, 1000]),
+        lambda d: d["covering"][1]["condition_I"].update(checked=1),
+        lambda d: d["covering"][1]["condition_II"]["faces"][3].update(checked=1),
+        lambda d: d["covering"][1]["condition_II"]["faces"][3].pop("checked"),
+    ])
+    def test_counts_must_cover_the_claimed_grid(self, edit):
+        d = _toy_report(cone=True).to_dict()
+        edit(d)
+        rep = ProofReport.from_dict(d)
+        certs = [*rep.covering, rep.hyperbolicity]
+        assert [c.passed for c in certs].count(False) == 1
+        assert not rep.verdict
 
     def test_malformed_report(self):
         with pytest.raises(ReportError):
@@ -107,6 +147,16 @@ class TestProofReport:
         ("hyperbolicity", {"grid": [2, 2, 2], "outcomes": [], "wall_time": math.inf}),
         ("hyperbolicity", {"grid": [2, 2, 2], "outcomes": [], "wall_time": -5.0}),
         ("covering", lambda d: [{**c, "wall_time": -5.0} for c in d["covering"]]),
+        # grid counts are integers, and each face count an object
+        pytest.param("covering", lambda d: [{**c, "body_grid": ["x"]} for c in d["covering"]],
+                     id="body-grid-item"),
+        pytest.param("covering", lambda d: [{**c, "face_grid": [2.5, 2]} for c in d["covering"]],
+                     id="face-grid-item"),
+        pytest.param("hyperbolicity", {"grid": [2, True, 2], "outcomes": [], "wall_time": 0.0},
+                     id="cone-grid-item"),
+        pytest.param("covering", lambda d: [
+            {**c, "condition_II": {**c["condition_II"], "faces": [1]}} for c in d["covering"]],
+            id="face-count-item"),
     ])
     def test_malformed_section_is_not_absent(self, section, value, tmp_path, capsys):
         d = _toy_report().to_dict()
@@ -294,7 +344,8 @@ class TestCLI:
     @pytest.mark.parametrize("case", [
         "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
         "mixed-dims", "u-negative", "u-zero", "u-float", "s-bool", "u-string",
-        "inverse-overflow", "literal-overflow",
+        "inverse-overflow", "literal-overflow", "center-string", "row-string",
+        "number-entry", "ragged-basis",
     ])
     def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
         a, b = make_paper_hsets()
@@ -317,6 +368,14 @@ class TestCLI:
             defs["a"]["basis"] = [["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         elif case == "literal-overflow":
             defs["a"]["center"][0] = "1e400"
+        elif case == "center-string":  # once read as the center (1, 2, 3)
+            defs["a"]["center"] = "123"
+        elif case == "row-string":  # once read as the row (1, 0, 0)
+            defs["a"]["basis"][1] = "100"
+        elif case == "number-entry":  # a JSON number, not a decimal string
+            defs["a"]["center"][1] = 1.0225
+        elif case == "ragged-basis":
+            defs["a"]["basis"][2] = defs["a"]["basis"][2][:2]
         hpath = tmp_path / "hsets.json"
         if case != "unreadable":
             hpath.write_text("{a: 1" if case == "not-json" else json.dumps(defs))

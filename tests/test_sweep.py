@@ -24,7 +24,7 @@ from henoncert import (
     verify_covering,
 )
 from henoncert import covering, hyperbolicity
-from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, make_hset
+from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, HSet
 from henoncert.linalg import IMatrix
 from henoncert.sweep import sweep
 
@@ -48,14 +48,14 @@ def flat_sweep(X, grid, predicate, max_witnesses):
 
 def _paper(iterate=4, u=2, s=1):
     hsets = {
-        name: make_hset(name, d["center"], d["basis"], u=u, s=s)
+        name: HSet(name, {**d, "u": u, "s": s})
         for name, d in (("a", HSET_A_DEFINITION), ("b", HSET_B_DEFINITION))
     }
     return paper_map_pairs(IteratedMap(HenonMap(), k=iterate), hsets)
 
 
 def _toys():
-    N = make_hset("u", ["0", "0", "0"], UNIT_BASIS)
+    N = HSet("u", {"center": ["0", "0", "0"], "basis": UNIT_BASIS})
     matrices = {
         "identity": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "expand": [[3, 0, 0], [0, 3, 0], [0, 0, 0.25]],
