@@ -58,7 +58,10 @@ class ConditionISummary(Record):
 
     @property
     def passed(self) -> bool:
-        return self.failed == 0 and not self.failures and self.checked > 0
+        """No cell failed, and the cells by name add up to those checked."""
+        return (self.failed == 0 and not self.failures and self.checked > 0
+                and self.outside_unstable + self.inside_stable + self.failed
+                == self.checked)
 
 
 @dataclass
@@ -87,9 +90,13 @@ class CoveringCertificate(Record):
 
     @property
     def passed(self) -> bool:
-        """Both conditions passed, on every cell of the grids they claim."""
+        """Both conditions passed, on every cell of the grids they claim, and
+        condition II on each of the source's 2u exit faces (u = len(A)) once."""
         ci, cii = self.condition_I, self.condition_II
+        faces = [(f.get("axis"), f.get("sign")) for f in cii.faces]
+        exits = [(axis, sign) for axis in range(len(self.A)) for sign in (-1.0, 1.0)]
         return (ci.passed and cii.passed and ci.checked == prod(self.body_grid)
+                and len(faces) == len(exits) and all(faces.count(e) == 1 for e in exits)
                 and all(f.get("checked") == prod(self.face_grid) for f in cii.faces))
 
 

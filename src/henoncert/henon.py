@@ -4,7 +4,10 @@ H(x, y, z) = (a - y^2 - b*z, x, y) with defaults a = 1.76, b = 0.1, entered
 through exact decimal parsing so the constants are enclosed, never rounded
 silently.  Jacobians of iterates are explicit chain-rule products over the
 interval orbit segments; each Henon step uses the companion form of Dh, a row
-shift plus one row combination.
+shift plus one row combination that drops every term whose factor is the point
+0.  With a source chart attached, the chain starts from the chart's basis M,
+so M's exact zeros are skipped by the same rule and M costs no product of its
+own.
 """
 
 from __future__ import annotations
@@ -76,15 +79,26 @@ class HenonMap:
     def jacobian_step(self, X: Box, J: IMatrix) -> IMatrix:
         """Dh(X) @ J by rows: row 0 = (-2y) row 1 + (-b) row 2, rows 1, 2 = old 0, 1.
 
-        The exact 0 and 1 entries of Dh are never multiplied, so no entry is
-        widened by them.
+        The exact 0 and 1 entries of Dh are never multiplied, and a term whose
+        entry of J is the point 0 is dropped: 0*x = 0 exactly for finite x, the
+        rule `linalg.nonzero_entries` applies to chart products.  Where both
+        entries are point zeros the result is the point 0.  So no entry is
+        widened by an exact zero of J, nor by the exact 0s and 1s of Dh.
         """
         if X.dim != 3:
             raise IntervalError("Henon map acts on 3-dimensional boxes")
         m2y = X.coords[1].scale(-2.0)
         mb = -self.params.b
         r0, r1, r2 = J.rows
-        return unchecked_matrix((tuple(m2y * p + mb * q for p, q in zip(r1, r2)), r0, r1))
+        row = []
+        for p, q in zip(r1, r2):
+            if q.lo == q.hi == 0.0:
+                row.append(_ZERO if p.lo == p.hi == 0.0 else m2y * p)
+            elif p.lo == p.hi == 0.0:
+                row.append(mb * q)
+            else:
+                row.append(m2y * p + mb * q)
+        return unchecked_matrix((tuple(row), r0, r1))
 
 
 class LinearMap:
@@ -116,10 +130,12 @@ class IteratedMap:
     """k-fold iterate of a base map, optionally conjugated by affine charts.
 
     With charts the action on a local box X is
-        chart_post.local_from_world( base^k ( chart_pre.world_from_local(X) ) ).
-    Charts carry the tightest enclosure of their exact-rational inverse, and the
-    chart maps and the Jacobian's chart products sum only over the nonzero
-    entries of M and M^-1, so every step keeps enclosure.
+        chart_post.local_from_world( base^k ( chart_pre.world_from_local(X) ) ),
+    and its Jacobian is M_post^-1 Dh(w_{k-1}) ... Dh(w_0) M_pre over the orbit
+    w_0 ... w_k.  Charts carry the tightest enclosure of their exact-rational
+    inverse; the chart maps, the chain's steps and the product by M_post^-1
+    skip only point-zero terms, which are exactly 0, so every step keeps
+    enclosure.
     """
 
     base: object
@@ -160,14 +176,19 @@ class IteratedMap:
     def jacobian(self, X: Box, orbit=None) -> IMatrix:
         """Chain-rule enclosure of the derivative over every point of X.
 
-        `orbit`, if given, is `self.orbit(X)`, reused.
+        With a source chart the chain starts from its basis M_pre and applies
+        `base.jacobian_step` over w_0 ... w_{k-1}; without one it starts from
+        `base.jacobian_box(w_0)` and steps over w_1 ... w_{k-1}.  A target
+        chart then multiplies by its inverse.  `orbit`, if given, is
+        `self.orbit(X)`, reused.
         """
         boxes = self.orbit(X) if orbit is None else orbit
-        J = self.base.jacobian_box(boxes[0])
-        for w in boxes[1:-1]:
-            J = self.base.jacobian_step(w, J)
         if self.chart_pre is not None:
-            J = self.chart_pre.times_basis(J)
+            J, steps = self.chart_pre.basis, boxes[:-1]
+        else:
+            J, steps = self.base.jacobian_box(boxes[0]), boxes[1:-1]
+        for w in steps:
+            J = self.base.jacobian_step(w, J)
         if self.chart_post is not None:
             J = self.chart_post.inverse_times(J)
         return J

@@ -99,8 +99,11 @@ def _load(hint, value):
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not 0 <= value < inf):
             raise TypeError(f"expected a finite number >= 0, got {value!r}")
-    elif origin in (int, str) and type(value) is not origin:
-        raise TypeError(f"expected {origin.__name__}, got {value!r}")
+    elif origin is int:  # every int field is a count or a grid size
+        if type(value) is not int or value < 0:
+            raise TypeError(f"expected an integer >= 0, got {value!r}")
+    elif origin is str and type(value) is not str:
+        raise TypeError(f"expected str, got {value!r}")
     elif origin is dict and not isinstance(value, dict):
         raise TypeError(f"expected an object, got {value!r}")
     return value
@@ -122,8 +125,9 @@ class Record:
     `to_dict` writes every field under its own name, a nested record through
     its own `to_dict`, then the derived verdicts the class names in `derived`
     (none by default).  `from_dict` reads every field back (a missing one is
-    a KeyError) and checks it against its hint: `int`, `str`, `float` (a
-    finite number >= 0, not a bool: every float field is a duration), `dict`,
+    a KeyError) and checks it against its hint: `int` (>= 0, not a bool:
+    every int field is a count or a grid size), `str`, `float` (a finite
+    number >= 0, not a bool: every float field is a duration), `dict`,
     a list or tuple of an item type, a nested record, or `X | None`; any other
     value is a TypeError.  It never reads a derived verdict: those are always
     computed from the contents.

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from henoncert import (
     paper_map_pairs,
 )
 from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION
+from henoncert.linalg import IMatrix, subdivide_box
 
 A_EXACT = Fraction(44, 25)
 B_EXACT = Fraction(1, 10)
@@ -171,6 +173,73 @@ class TestJacobian:
                 )
                 J = f.jacobian(Box.from_point([float(v) for v in p]))
                 _assert_encloses(J, exact)
+
+
+def _width(M):
+    return sum(e.width() for row in M.rows for e in row)
+
+
+class TestJacobianChain:
+    """The companion step, which drops point-zero terms, and the chain that
+    starts from the source chart's basis, against exact results and against
+    the products that keep every term."""
+
+    GRID = (6, 6, 6)
+
+    def test_step_drops_point_zero_terms(self):
+        # row 0 of Dh(X) @ J is (-2y) J[1] + (-b) J[2], with y = 3/8 exact
+        X = Box.from_point((0.0, 0.375, 0.0))
+        r0 = (Interval(1.0, 1.0), Interval(2.0, 2.0), Interval(3.0, 3.0))
+        r1 = (Interval(0.5, 0.75), Interval(-0.0, -0.0), Interval(0.0, 0.0))
+        r2 = (Interval(0.0, 0.0), Interval(1.25, 1.5), Interval(-0.0, 0.0))
+        row, *rest = HenonMap().jacobian_step(X, IMatrix([r0, r1, r2])).rows
+        assert rest == [r0, r1]
+        m2y, mb = Interval(-0.75, -0.75), -HenonParams().b
+        # each entry with one point-zero factor is the other term alone ...
+        assert row[0] == m2y * r1[0] and row[1] == mb * r2[1]
+        # ... which encloses the exact values, and is narrower than the sum
+        # that adds the zero term's product
+        for got, (lo, hi), kept in [
+            (row[0], (Fraction(-9, 16), Fraction(-3, 8)), m2y * r1[0] + mb * r2[0]),
+            (row[1], (Fraction(-3, 20), Fraction(-1, 8)), m2y * r1[1] + mb * r2[1]),
+        ]:
+            assert Fraction(got.lo) <= lo and hi <= Fraction(got.hi)
+            assert got.subset_of(kept) and got.width() < kept.width()
+        # both factors point zeros: the point 0 itself, not a rounded product
+        assert (row[2].lo, row[2].hi) == (0.0, 0.0)
+        assert math.copysign(1.0, row[2].lo) == math.copysign(1.0, row[2].hi) == 1.0
+
+    def test_pair_jacobians_within_dense_chain_in_order(self, paper_hsets, h4):
+        # M_j^-1 @ (Dh(w3) @ (Dh(w2) @ (Dh(w1) @ (Dh(w0) @ M_i)))), which
+        # multiplies every exact 0 and 1 of Dh and M
+        H = HenonMap()
+        for f in paper_map_pairs(h4, paper_hsets).values():
+            chain = dense = 0.0
+            for X in subdivide_box(Box.cube(-1, 1, 3), self.GRID):
+                orbit = f.orbit(X)
+                D = f.chart_pre.basis
+                for w in orbit[:-1]:
+                    D = H.jacobian_box(w) @ D
+                D = f.chart_post.basis_inv @ D
+                J = f.jacobian(X, orbit)
+                assert D.contains(J)
+                chain += _width(J)
+                dense += _width(D)
+            assert chain < dense
+
+    def test_chartless_jacobian_within_every_term_chain(self, h4):
+        # jacobian_box(w0), then row 0 = (-2y) row 1 + (-b) row 2 with every
+        # term kept, point zeros included
+        H, mb = HenonMap(), -HenonParams().b
+        for X in subdivide_box(Box.cube(-0.6, 0.6, 3), self.GRID):
+            orbit = h4.orbit(X)
+            full = H.jacobian_box(orbit[0])
+            for w in orbit[1:-1]:
+                m2y = w[1].scale(-2.0)
+                r0, r1, r2 = full.rows
+                full = IMatrix([[m2y * p + mb * q for p, q in zip(r1, r2)], r0, r1])
+            J = h4.jacobian(X, orbit)
+            assert full.contains(J) and _width(J) < _width(full)
 
 
 class TestIteratedMap:

@@ -125,11 +125,10 @@ class TestExactCharts:
             for _ in range(20):
                 lo = rng.uniform(-1, 0.8, size=3)
                 J = h4.jacobian(Box([Interval(v, v + 0.2) for v in lo]))
-                for sparse, dense in [(h.times_basis(J), J @ h.basis),
-                                      (h.inverse_times(J), h.basis_inv @ J)]:
-                    assert _within_an_ulp(dense, sparse)
-                    widths["sparse"] += _width(sparse)
-                    widths["dense"] += _width(dense)
+                sparse, dense = h.inverse_times(J), h.basis_inv @ J
+                assert _within_an_ulp(dense, sparse)
+                widths["sparse"] += _width(sparse)
+                widths["dense"] += _width(dense)
         assert widths["sparse"] < widths["dense"]
 
 
@@ -200,11 +199,8 @@ class TestConstructionErrors:
         a, _ = make_paper_hsets()
         wide = IMatrix([list(r) + [r[0]] for r in a.basis.rows])  # 3x4
         with pytest.raises(IntervalError):
-            a.times_basis(wide)
-        with pytest.raises(IntervalError):
             a.inverse_times(wide.transpose())
         # only the inner dimension must match the chart
-        assert a.times_basis(IMatrix(a.basis.rows[:2])).nrows == 2
         assert a.inverse_times(IMatrix([r[:2] for r in a.basis.rows])).ncols == 2
 
     def test_inverse_out_of_double_range(self):

@@ -45,6 +45,12 @@ def _toy_report(passed=True, cone=False):
     )
 
 
+@pytest.fixture(scope="module")
+def symbolic_report():
+    """The shipped covering proof, as the JSON object `verify-symbolic` writes."""
+    return run_all(hyp_grid=None).to_dict()
+
+
 class TestProofReport:
     def test_json_roundtrip(self):
         rep = _toy_report()
@@ -110,6 +116,9 @@ class TestProofReport:
         lambda d: d["covering"][1]["condition_I"].update(checked=1),
         lambda d: d["covering"][1]["condition_II"]["faces"][3].update(checked=1),
         lambda d: d["covering"][1]["condition_II"]["faces"][3].pop("checked"),
+        # the cells by name must add up to the cells checked
+        lambda d: d["covering"][1]["condition_I"].update(outside_unstable=0,
+                                                         inside_stable=0),
     ])
     def test_counts_must_cover_the_claimed_grid(self, edit):
         d = _toy_report(cone=True).to_dict()
@@ -128,6 +137,24 @@ class TestProofReport:
             del d["covering"][0][check]["failed"]
             with pytest.raises(ReportError):
                 ProofReport.from_dict(d)
+
+    @pytest.mark.parametrize("faces", [
+        lambda f: f[:1],  # one of the four exit faces
+        lambda f: f[:3] + f[:1],  # one face twice, one missing
+        lambda f: f + f[:1],  # one face twice
+    ])
+    def test_condition_II_needs_each_exit_face_once(self, faces, symbolic_report,
+                                                     tmp_path, capsys):
+        d = json.loads(json.dumps(symbolic_report))
+        assert ProofReport.from_dict(d).covering_passed
+        cii = d["covering"][0]["condition_II"]
+        cii["faces"] = faces(cii["faces"])
+        rep = ProofReport.from_dict(d)
+        assert not rep.covering[0].passed and not rep.covering_passed
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(d))
+        assert main(["periodic-orbits", "ab", "--report", str(path)]) == 1
+        assert "refusing" in capsys.readouterr().err
 
     def test_null_or_missing_cone_check_loads_as_absent(self):
         d = _toy_report().to_dict()
@@ -157,6 +184,17 @@ class TestProofReport:
         pytest.param("covering", lambda d: [
             {**c, "condition_II": {**c["condition_II"], "faces": [1]}} for c in d["covering"]],
             id="face-count-item"),
+        # every int field is a count or a grid size, never negative
+        pytest.param("covering", lambda d: [
+            {**c, "condition_I": {**c["condition_I"], "failed": -5}} for c in d["covering"]],
+            id="negative-failed"),
+        pytest.param("covering", lambda d: [{**c, "body_grid": [-3, -3, 3]} for c in d["covering"]],
+            id="negative-grid"),
+        pytest.param("hyperbolicity", lambda d: {
+            "grid": [2, 2, 2], "wall_time": 0.0, "outcomes": [
+                {"label": "aa", "skipped_disjoint": -5, "positive_definite": 13,
+                 "failed": 0, "failures": []}]},
+            id="negative-skipped"),
     ])
     def test_malformed_section_is_not_absent(self, section, value, tmp_path, capsys):
         d = _toy_report().to_dict()
