@@ -91,7 +91,8 @@ class CoveringCertificate(Record):
     @property
     def passed(self) -> bool:
         """Both conditions passed, on every cell of the grids they claim, and
-        condition II on each of the source's 2u exit faces (u = len(A)) once."""
+        condition II on each of the source's 2u exit faces (u = len(A)) once.
+        `ProofReport.covering_passed` also checks u against the source h-set."""
         ci, cii = self.condition_I, self.condition_II
         faces = [(f.get("axis"), f.get("sign")) for f in cii.faces]
         exits = [(axis, sign) for axis in range(len(self.A)) for sign in (-1.0, 1.0)]
@@ -104,7 +105,7 @@ def linearization_at_center(fc: IteratedMap) -> IMatrix:
     """Point u x u matrix: midpoints of the unstable block of the local
     Jacobian of the chart-conjugated map `fc` at the origin."""
     u = fc.charts()[0].u
-    J = fc.jacobian(Box.from_point((0.0, 0.0, 0.0)))
+    J = fc.jacobian_from_source(Box.from_point((0.0, 0.0, 0.0)))
     return IMatrix([[Interval.point(J[i, j].mid()) for j in range(u)] for i in range(u)])
 
 
@@ -126,7 +127,7 @@ def mean_value_image(fc: IteratedMap, P: Box, orbit, Y: Box) -> Box:
     fault can make them so.
     """
     m = Box.from_point(P.midpoint())
-    Z = fc.eval(m) + fc.jacobian(P, orbit) @ (P - m)
+    Z = fc.eval(m) + fc.jacobian_from_source(P, orbit) @ (P - m)
     out = tuple(y.intersect(z) for y, z in zip(Y, Z))
     if None in out:
         raise EnclosureError(f"disjoint enclosures of one image: {Y!r}, {Z!r}")

@@ -3,11 +3,12 @@
 H(x, y, z) = (a - y^2 - b*z, x, y) with defaults a = 1.76, b = 0.1, entered
 through exact decimal parsing so the constants are enclosed, never rounded
 silently.  Jacobians of iterates are explicit chain-rule products over the
-interval orbit segments; each Henon step uses the companion form of Dh, a row
-shift plus one row combination that drops every term whose factor is the point
-0.  With a source chart attached, the chain starts from the chart's basis M,
-so M's exact zeros are skipped by the same rule and M costs no product of its
-own.
+interval orbit segments, in the companion form of Dh: a shift plus one
+combination of rows (`jacobian_step`, Dh @ J) or of columns
+(`times_jacobian`, J @ Dh) that drops every term whose factor is the point 0.
+Interval matrix products are not associative, and the chain taken from the
+target chart's side, M_post^-1 Dh(w_{k-1}) first, encloses the charted
+Jacobian more tightly than the one taken from the source chart's basis M_pre.
 """
 
 from __future__ import annotations
@@ -100,6 +101,28 @@ class HenonMap:
                 row.append(m2y * p + mb * q)
         return unchecked_matrix((tuple(row), r0, r1))
 
+    def times_jacobian(self, X: Box, J: IMatrix) -> IMatrix:
+        """J @ Dh(X) by columns: col 0 = old 1, col 1 = (-2y) col 0 + col 2,
+        col 2 = (-b) col 0.
+
+        The same rule as `jacobian_step`: the exact 0 and 1 entries of Dh are
+        never multiplied, a term whose entry of J is the point 0 is dropped,
+        and where both are point zeros the result is the point 0.
+        """
+        if X.dim != 3:
+            raise IntervalError("Henon map acts on 3-dimensional boxes")
+        m2y = X.coords[1].scale(-2.0)
+        mb = -self.params.b
+        rows = []
+        for p, q, r in J.rows:
+            if p.lo == p.hi == 0.0:
+                rows.append((q, r, _ZERO))
+            elif r.lo == r.hi == 0.0:
+                rows.append((q, m2y * p, mb * p))
+            else:
+                rows.append((q, m2y * p + r, mb * p))
+        return unchecked_matrix(tuple(rows))
+
 
 class LinearMap:
     """Point linear map on R^3; handy for toy controls of the verifiers."""
@@ -124,6 +147,9 @@ class LinearMap:
     def jacobian_step(self, X: Box, J: IMatrix) -> IMatrix:
         return self.matrix @ J
 
+    def times_jacobian(self, X: Box, J: IMatrix) -> IMatrix:
+        return J @ self.matrix
+
 
 @dataclass(frozen=True)
 class IteratedMap:
@@ -132,10 +158,12 @@ class IteratedMap:
     With charts the action on a local box X is
         chart_post.local_from_world( base^k ( chart_pre.world_from_local(X) ) ),
     and its Jacobian is M_post^-1 Dh(w_{k-1}) ... Dh(w_0) M_pre over the orbit
-    w_0 ... w_k.  Charts carry the tightest enclosure of their exact-rational
-    inverse; the chart maps, the chain's steps and the product by M_post^-1
-    skip only point-zero terms, which are exactly 0, so every step keeps
-    enclosure.
+    w_0 ... w_k.  `jacobian` multiplies this product from the left,
+    `jacobian_from_source` from the right; the two enclose the same matrices,
+    the first more tightly.  Charts carry the tightest enclosure of their
+    exact-rational inverse; the chart maps, the chains' steps and the chart
+    products skip only point-zero terms, which are exactly 0, so every step
+    keeps enclosure.
     """
 
     base: object
@@ -174,12 +202,37 @@ class IteratedMap:
         return self.chart_post.local_from_world(w) if self.chart_post else w
 
     def jacobian(self, X: Box, orbit=None) -> IMatrix:
-        """Chain-rule enclosure of the derivative over every point of X.
+        """Chain-rule enclosure of the derivative over every point of X, taken
+        from the target side.
+
+        With a target chart the chain starts from the rows of its inverse
+        M_post^-1 and applies `base.times_jacobian` over w_{k-1} ... w_0;
+        without one it starts from `base.jacobian_box(w_{k-1})` and steps over
+        w_{k-2} ... w_0.  A source chart then multiplies by its basis M_pre.
+        The cone check uses this chain.  `orbit`, if given, is
+        `self.orbit(X)`, reused.
+        """
+        boxes = self.orbit(X) if orbit is None else orbit
+        steps = boxes[-2::-1]
+        if self.chart_post is not None:
+            J = self.chart_post.basis_inv
+        else:
+            J, steps = self.base.jacobian_box(steps[0]), steps[1:]
+        for w in steps:
+            J = self.base.times_jacobian(w, J)
+        if self.chart_pre is not None:
+            J = self.chart_pre.times_basis(J)
+        return J
+
+    def jacobian_from_source(self, X: Box, orbit=None) -> IMatrix:
+        """The same derivative, enclosed by the chain taken from the source side.
 
         With a source chart the chain starts from its basis M_pre and applies
         `base.jacobian_step` over w_0 ... w_{k-1}; without one it starts from
         `base.jacobian_box(w_0)` and steps over w_1 ... w_{k-1}.  A target
-        chart then multiplies by its inverse.  `orbit`, if given, is
+        chart then multiplies by its inverse.  Condition I's mean-value form
+        and the covering's linearization `A` use it; moving them to `jacobian`
+        waits on the benchmark fix of ROADMAP item 7.  `orbit`, if given, is
         `self.orbit(X)`, reused.
         """
         boxes = self.orbit(X) if orbit is None else orbit

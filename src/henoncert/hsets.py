@@ -9,11 +9,12 @@ definition, which `to_definition` returns, so a report echoes exactly the
 sets it certified.  Everything else derives from it: the tightest interval
 around each decimal, and M^-1 computed exactly with `fractions.Fraction`,
 each entry enclosed in a point where it is a double (as the exact zeros
-are), else one ulp wide.  The chart maps and the product of a Jacobian by
-M^-1 sum only over the nonzero entries of M and M^-1, listed once per h-set;
-a dropped point-zero term is exactly 0, so both chart directions stay
-rigorous.  A Jacobian's chain starts from M itself (`IteratedMap.jacobian`),
-whose zeros the Henon step skips by the same rule.
+are), else one ulp wide.  The chart maps and the chart products of a
+Jacobian sum only over the nonzero entries of M and M^-1, listed once per
+h-set; a dropped point-zero term is exactly 0, so both chart directions stay
+rigorous.  A Jacobian's chain may also start from M or M^-1 itself
+(`IteratedMap.jacobian_from_source`, `IteratedMap.jacobian`), whose zeros the
+Henon steps skip by the same rule.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class HSet:
     basis_inv: IMatrix = field(repr=False, compare=False)  # verified enclosure of M^-1
     u: int = field(repr=False, compare=False)
     s: int = field(repr=False, compare=False)
-    # nonzero (index, entry) pairs of M's rows and M^-1's rows
+    # nonzero (index, entry) pairs of M's rows, M's columns and M^-1's rows
     _rows: tuple = field(repr=False, compare=False)
+    _cols: tuple = field(repr=False, compare=False)
     _inv_rows: tuple = field(repr=False, compare=False)
 
     def __init__(self, name: str, definition: dict):
@@ -86,6 +88,7 @@ class HSet:
             "center": Box([from_decimal(d) for d in c]),
             "basis": basis, "basis_inv": basis_inv, "u": u, "s": s,
             "_rows": nonzero_entries(basis.rows),
+            "_cols": nonzero_entries(zip(*basis.rows)),
             "_inv_rows": nonzero_entries(basis_inv.rows),
         }
         for key, value in state.items():
@@ -108,6 +111,15 @@ class HSet:
         """M^-1 (Y - c), enclosed."""
         d = (Y - self.center).coords
         return unchecked_box(tuple(sparse_dot(r, d) for r in self._inv_rows))
+
+    def times_basis(self, J: IMatrix) -> IMatrix:
+        """J @ M, enclosed: a world-domain Jacobian in this chart's coordinates."""
+        if J.ncols != self.dim:
+            raise IntervalError("matrix and chart dimensions differ")
+        cols = self._cols
+        return unchecked_matrix(tuple(
+            tuple(sparse_dot(c, row) for c in cols) for row in J.rows
+        ))
 
     def inverse_times(self, J: IMatrix) -> IMatrix:
         """M^-1 @ J, enclosed: a world-range Jacobian in this chart's coordinates."""

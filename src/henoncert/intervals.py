@@ -2,10 +2,12 @@
 
 Every operation returns an interval that is guaranteed to contain the exact
 real result for all points of the operands.  Addition and subtraction use an
-exact error term (two-sum) so representable results stay tight; products are
-widened by one ulp on each side, which is always sound under round-to-nearest,
-except scaling by a power of two, which is exact unless it leaves the normal
-range.  Rationals are enclosed tightly through `fractions.Fraction`.
+exact error term (two-sum) and widen an endpoint only on the side where
+rounding moved it inward, so a sum is the tightest double enclosure and sums
+are inclusion-monotone; products, squares and scalings by a non-power of two
+are widened by one ulp on each side, which is always sound under
+round-to-nearest.  Scaling by a power of two is exact unless it leaves the
+normal range.  Rationals are enclosed tightly through `fractions.Fraction`.
 
 Importing the module fails unless floats round to nearest.
 """
@@ -90,22 +92,24 @@ class Interval:
 
     def __add__(self, other: "Interval") -> "Interval":
         lo, hi = self.lo + other.lo, self.hi + other.hi
-        # two-sum error terms: widen only when rounding actually occurred
+        # two-sum: the exact sum is s + err, err exact, so an endpoint is
+        # widened only when rounding moved it inward; a NaN err (an overflow
+        # inside the two-sum) widens too
         e = lo - self.lo
-        if other.lo - e != 0.0 or self.lo - (lo - e) != 0.0:
+        if not (self.lo - (lo - e)) + (other.lo - e) >= 0.0:
             lo = _down(lo)
         e = hi - self.hi
-        if other.hi - e != 0.0 or self.hi - (hi - e) != 0.0:
+        if not (self.hi - (hi - e)) + (other.hi - e) <= 0.0:
             hi = _up(hi)
         return _checked(lo, hi)
 
     def __sub__(self, other: "Interval") -> "Interval":
         lo, hi = self.lo - other.hi, self.hi - other.lo
         e = lo - self.lo
-        if -other.hi - e != 0.0 or self.lo - (lo - e) != 0.0:
+        if not (self.lo - (lo - e)) + (-other.hi - e) >= 0.0:
             lo = _down(lo)
         e = hi - self.hi
-        if -other.lo - e != 0.0 or self.hi - (hi - e) != 0.0:
+        if not (self.hi - (hi - e)) + (-other.lo - e) <= 0.0:
             hi = _up(hi)
         return _checked(lo, hi)
 

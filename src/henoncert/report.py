@@ -28,6 +28,14 @@ def _each_pair_once(pairs) -> bool:
     return sorted(pairs) == sorted(COVERING_CHAIN)
 
 
+def _u_by_u(A, definition) -> bool:
+    """True when A is a u x u list of rows, u the exit dimension in the
+    report's echo of the source h-set's `definition`."""
+    u = definition.get("u") if isinstance(definition, dict) else None
+    return (type(u) is int and len(A) == u
+            and all(isinstance(r, list) and len(r) == u for r in A))
+
+
 @dataclass(kw_only=True)
 class ProofReport(Record):
     """The whole proof: its JSON keys are the field names, its format the
@@ -60,8 +68,12 @@ class ProofReport(Record):
 
     @property
     def covering_passed(self) -> bool:
+        """Each pair of COVERING_CHAIN has one certificate, which passed with
+        its A u x u, u from the echoed source h-set: a certificate takes u
+        from A, so this is what ties its exit faces to the source's."""
         return (_each_pair_once((c.source, c.target) for c in self.covering)
-                and all(c.passed for c in self.covering))
+                and all(c.passed and _u_by_u(c.A, self.hsets.get(c.source))
+                        for c in self.covering))
 
     @property
     def verdict(self) -> bool:

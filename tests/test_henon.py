@@ -95,6 +95,10 @@ def _assert_encloses(J, exact):
             assert Fraction(J[i, j].lo) <= exact[i][j] <= Fraction(J[i, j].hi)
 
 
+# the target-side chain, which the cone check uses, and the source-side one
+CHAINS = ("jacobian", "jacobian_from_source")
+
+
 class TestEval:
     def test_origin(self):
         img = HenonMap().eval_box(Box.from_point((0, 0, 0)))
@@ -151,14 +155,17 @@ class TestJacobian:
                         J[i, j].lo - 1e-9 <= float(exact[i][j]) <= J[i, j].hi + 1e-9
                     )
 
-    def test_chartless_jacobian_encloses_exact_rational(self, h4, rng):
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_chartless_jacobian_encloses_exact_rational(self, h4, rng, chain):
         # dyadic points are exact doubles, so no tolerance is needed
         for _ in range(20):
             p = _dyadic_point(rng)
-            J = h4.jacobian(Box.from_point([float(v) for v in p]))
+            J = getattr(h4, chain)(Box.from_point([float(v) for v in p]))
             _assert_encloses(J, _h4_jacobian_exact(p))
 
-    def test_chart_pair_jacobians_enclose_exact_rational(self, paper_hsets, h4, rng):
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_chart_pair_jacobians_enclose_exact_rational(self, paper_hsets, h4, rng,
+                                                         chain):
         # M_j^-1 DH^4(c_i + M_i p) M_i with the exact decimal charts
         pairs = paper_map_pairs(h4, paper_hsets)
         for label, f in pairs.items():
@@ -171,7 +178,7 @@ class TestJacobian:
                     _inverse_exact(Mj),
                     _matmul_exact(_h4_jacobian_exact(w), Mi),
                 )
-                J = f.jacobian(Box.from_point([float(v) for v in p]))
+                J = getattr(f, chain)(Box.from_point([float(v) for v in p]))
                 _assert_encloses(J, exact)
 
 
@@ -180,9 +187,9 @@ def _width(M):
 
 
 class TestJacobianChain:
-    """The companion step, which drops point-zero terms, and the chain that
-    starts from the source chart's basis, against exact results and against
-    the products that keep every term."""
+    """The companion steps, which drop point-zero terms, and the two chains,
+    from the target chart's inverse and from the source chart's basis,
+    against exact results and against the products that keep every term."""
 
     GRID = (6, 6, 6)
 
@@ -209,6 +216,44 @@ class TestJacobianChain:
         assert (row[2].lo, row[2].hi) == (0.0, 0.0)
         assert math.copysign(1.0, row[2].lo) == math.copysign(1.0, row[2].hi) == 1.0
 
+    def test_times_jacobian_drops_point_zero_terms(self):
+        # J @ Dh(X) maps a row (p, q, r) to (q, (-2y) p + r, (-b) p), y = 3/8
+        X = Box.from_point((0.0, 0.375, 0.0))
+        p, q, r = Interval(0.5, 0.75), Interval(2.0, 3.0), Interval(1.25, 1.5)
+        zero, nzero = Interval(0.0, 0.0), Interval(-0.0, -0.0)
+        rows = HenonMap().times_jacobian(
+            X, IMatrix([(p, q, r), (p, q, zero), (nzero, q, r)])).rows
+        m2y, mb = Interval(-0.75, -0.75), -HenonParams().b
+        assert rows[0] == (q, m2y * p + r, mb * p)
+        # a point-zero r: the product alone, which encloses the exact values
+        # and is narrower than the sum that adds the zero
+        got = rows[1][1]
+        assert rows[1] == (q, m2y * p, mb * p)
+        assert Fraction(got.lo) <= Fraction(-9, 16) and Fraction(-3, 8) <= Fraction(got.hi)
+        assert got.subset_of(m2y * p + zero)
+        # a point-zero p: r itself, exactly, and the point 0
+        assert rows[2][:2] == (q, r)
+        assert (rows[2][2].lo, rows[2][2].hi) == (0.0, 0.0)
+        assert math.copysign(1.0, rows[2][2].lo) == 1.0
+
+    def test_pair_jacobians_within_target_side_dense_chain(self, paper_hsets, h4):
+        # ((((M_j^-1 @ Dh(w3)) @ Dh(w2)) @ Dh(w1)) @ Dh(w0)) @ M_i, which
+        # multiplies every exact 0 and 1 of Dh and M
+        H = HenonMap()
+        for f in paper_map_pairs(h4, paper_hsets).values():
+            chain = dense = 0.0
+            for X in subdivide_box(Box.cube(-1, 1, 3), self.GRID):
+                orbit = f.orbit(X)
+                D = f.chart_post.basis_inv
+                for w in orbit[-2::-1]:
+                    D = D @ H.jacobian_box(w)
+                D = D @ f.chart_pre.basis
+                J = f.jacobian(X, orbit)
+                assert D.contains(J)
+                chain += _width(J)
+                dense += _width(D)
+            assert chain < dense
+
     def test_pair_jacobians_within_dense_chain_in_order(self, paper_hsets, h4):
         # M_j^-1 @ (Dh(w3) @ (Dh(w2) @ (Dh(w1) @ (Dh(w0) @ M_i)))), which
         # multiplies every exact 0 and 1 of Dh and M
@@ -221,13 +266,37 @@ class TestJacobianChain:
                 for w in orbit[:-1]:
                     D = H.jacobian_box(w) @ D
                 D = f.chart_post.basis_inv @ D
-                J = f.jacobian(X, orbit)
+                J = f.jacobian_from_source(X, orbit)
                 assert D.contains(J)
                 chain += _width(J)
                 dense += _width(D)
             assert chain < dense
 
+    def test_target_side_chain_narrower_than_source_side(self, paper_hsets, h4):
+        # in total per pair: the ratio is 0.72-0.76 at this grid
+        for label, f in paper_map_pairs(h4, paper_hsets).items():
+            target = source = 0.0
+            for X in subdivide_box(Box.cube(-1, 1, 3), self.GRID):
+                orbit = f.orbit(X)
+                target += _width(f.jacobian(X, orbit))
+                source += _width(f.jacobian_from_source(X, orbit))
+            assert target < 0.8 * source, label
+
     def test_chartless_jacobian_within_every_term_chain(self, h4):
+        # jacobian_box(w3), then col 1 = (-2y) col 0 + col 2 and
+        # col 2 = (-b) col 0 with every term kept, point zeros included
+        H, mb = HenonMap(), -HenonParams().b
+        for X in subdivide_box(Box.cube(-0.6, 0.6, 3), self.GRID):
+            orbit = h4.orbit(X)
+            full = H.jacobian_box(orbit[-2])
+            for w in orbit[-3::-1]:
+                m2y = w[1].scale(-2.0)
+                full = IMatrix([(q, m2y * p + r, mb * p) for p, q, r in full.rows])
+            J = h4.jacobian(X, orbit)
+            # contained, and narrower in some entry (some by a subnormal only)
+            assert full.contains(J) and J != full
+
+    def test_chartless_source_side_jacobian_within_every_term_chain(self, h4):
         # jacobian_box(w0), then row 0 = (-2y) row 1 + (-b) row 2 with every
         # term kept, point zeros included
         H, mb = HenonMap(), -HenonParams().b
@@ -238,7 +307,7 @@ class TestJacobianChain:
                 m2y = w[1].scale(-2.0)
                 r0, r1, r2 = full.rows
                 full = IMatrix([[m2y * p + mb * q for p, q in zip(r1, r2)], r0, r1])
-            J = h4.jacobian(X, orbit)
+            J = h4.jacobian_from_source(X, orbit)
             assert full.contains(J) and _width(J) < _width(full)
 
 

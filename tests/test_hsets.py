@@ -10,7 +10,7 @@ from henoncert.hsets import (HSET_A_DEFINITION, HSET_B_DEFINITION, load_hsets,
                              save_hsets)
 from henoncert.intervals import IntervalError
 from test_henon import _dyadic_point, _inverse_exact
-from test_hyperbolicity import _width, _within_an_ulp
+from test_hyperbolicity import _width
 
 DEFINITIONS = {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}
 UNIT_BASIS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
@@ -114,7 +114,7 @@ class TestExactCharts:
                     (h.local_from_world(X), h.basis_inv @ (X - h.center)),
                 ]:
                     outer, inner = IMatrix([dense.coords]), IMatrix([sparse.coords])
-                    assert _within_an_ulp(outer, inner)
+                    assert outer.contains(inner)
                     widths["sparse"] += _width(inner)
                     widths["dense"] += _width(outer)
         assert widths["sparse"] < widths["dense"]
@@ -125,10 +125,11 @@ class TestExactCharts:
             for _ in range(20):
                 lo = rng.uniform(-1, 0.8, size=3)
                 J = h4.jacobian(Box([Interval(v, v + 0.2) for v in lo]))
-                sparse, dense = h.inverse_times(J), h.basis_inv @ J
-                assert _within_an_ulp(dense, sparse)
-                widths["sparse"] += _width(sparse)
-                widths["dense"] += _width(dense)
+                for sparse, dense in [(h.times_basis(J), J @ h.basis),
+                                      (h.inverse_times(J), h.basis_inv @ J)]:
+                    assert dense.contains(sparse)
+                    widths["sparse"] += _width(sparse)
+                    widths["dense"] += _width(dense)
         assert widths["sparse"] < widths["dense"]
 
 
@@ -199,8 +200,11 @@ class TestConstructionErrors:
         a, _ = make_paper_hsets()
         wide = IMatrix([list(r) + [r[0]] for r in a.basis.rows])  # 3x4
         with pytest.raises(IntervalError):
+            a.times_basis(wide)
+        with pytest.raises(IntervalError):
             a.inverse_times(wide.transpose())
         # only the inner dimension must match the chart
+        assert a.times_basis(IMatrix(a.basis.rows[:2])).nrows == 2
         assert a.inverse_times(IMatrix([r[:2] for r in a.basis.rows])).ncols == 2
 
     def test_inverse_out_of_double_range(self):

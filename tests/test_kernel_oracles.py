@@ -10,8 +10,9 @@ Each operation is checked two ways on derandomized hypothesis samples:
 The samples cover signed zeros, subnormals, operands that straddle 0 and
 values up to the largest double, about 1.8e308, past which results overflow
 and raise EnclosureError.
-A deliberate change of the kernel's bits (sign-aware sums, exact products)
-must change these references with it.
+Sums and differences are also checked to be the tightest double enclosure,
+which makes them inclusion-monotone.  A deliberate change of the kernel's
+bits (exact products, say) must change these references with it.
 
 The cone matrix and its leading minors are checked the same way, entry for
 entry under `==`, against their plain forms kept below: sums that start
@@ -62,10 +63,10 @@ def _ref_checked(lo, hi):
 def ref_add(x, y):
     lo, hi = x.lo + y.lo, x.hi + y.hi
     e = lo - x.lo
-    if y.lo - e != 0.0 or x.lo - (lo - e) != 0.0:
+    if not (x.lo - (lo - e)) + (y.lo - e) >= 0.0:
         lo = _down(lo)
     e = hi - x.hi
-    if y.hi - e != 0.0 or x.hi - (hi - e) != 0.0:
+    if not (x.hi - (hi - e)) + (y.hi - e) <= 0.0:
         hi = _up(hi)
     return _ref_checked(lo, hi)
 
@@ -73,10 +74,10 @@ def ref_add(x, y):
 def ref_sub(x, y):
     lo, hi = x.lo - y.hi, x.hi - y.lo
     e = lo - x.lo
-    if -y.hi - e != 0.0 or x.lo - (lo - e) != 0.0:
+    if not (x.lo - (lo - e)) + (-y.hi - e) >= 0.0:
         lo = _down(lo)
     e = hi - x.hi
-    if -y.lo - e != 0.0 or x.hi - (hi - e) != 0.0:
+    if not (x.hi - (hi - e)) + (-y.lo - e) <= 0.0:
         hi = _up(hi)
     return _ref_checked(lo, hi)
 
@@ -145,6 +146,14 @@ def _encloses(iv, lo, hi):
     return Fraction(iv.lo) <= lo and hi <= Fraction(iv.hi)
 
 
+def _tightest(iv, lo, hi):
+    """No double lies strictly between an endpoint and the exact bound; past
+    the largest double, the next one up or down is an infinity."""
+    up, down = _up(iv.lo), _down(iv.hi)
+    return ((up == _INF or Fraction(up) > lo)
+            and (down == -_INF or Fraction(down) < hi))
+
+
 _MAX = sys.float_info.max
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, _TINY, -_TINY,
             1.0, -1.0, 0.5, 2.0, 1.1, -0.1, 1.34e154, -1.34e154, 1.4e154,
@@ -179,8 +188,8 @@ _SETTINGS = settings(max_examples=500, deadline=None, derandomize=True,
 def test_add_matches_reference_and_encloses(x, y):
     got = _same_as_reference(Interval.__add__, ref_add, x, y)
     if got is not None:
-        assert _encloses(got, Fraction(x.lo) + Fraction(y.lo),
-                         Fraction(x.hi) + Fraction(y.hi))
+        exact = Fraction(x.lo) + Fraction(y.lo), Fraction(x.hi) + Fraction(y.hi)
+        assert _encloses(got, *exact) and _tightest(got, *exact)
 
 
 @_SETTINGS
@@ -188,8 +197,8 @@ def test_add_matches_reference_and_encloses(x, y):
 def test_sub_matches_reference_and_encloses(x, y):
     got = _same_as_reference(Interval.__sub__, ref_sub, x, y)
     if got is not None:
-        assert _encloses(got, Fraction(x.lo) - Fraction(y.hi),
-                         Fraction(x.hi) - Fraction(y.lo))
+        exact = Fraction(x.lo) - Fraction(y.hi), Fraction(x.hi) - Fraction(y.lo)
+        assert _encloses(got, *exact) and _tightest(got, *exact)
 
 
 @_SETTINGS
@@ -232,6 +241,16 @@ def test_set_operations_match_reference(x, y):
     _same_as_reference(Interval.__neg__, ref_neg, x)
     _same_as_reference(Interval.hull, ref_hull, x, y)
     _same_as_reference(Interval.intersect, ref_intersect, x, y)
+
+
+def test_sum_widens_where_its_two_sum_overflows():
+    """lo - x.lo overflows to inf although lo is finite; the two-sum error is
+    then NaN, and the rounded-up lower bound must still be widened."""
+    x, y = Interval(-(2.0**971 + 2.0**970), 0.0), Interval(_MAX, _MAX)
+    exact = Fraction(x.lo) + Fraction(_MAX)
+    assert x.lo + _MAX > exact and math.isinf(x.lo + _MAX - x.lo)
+    for got in (x + y, y + x, x - (-y), y - (-x)):
+        assert Fraction(got.lo) <= exact < Fraction(_up(got.lo))
 
 
 def test_mul_sign_cases_and_overflow():

@@ -156,6 +156,26 @@ class TestProofReport:
         assert main(["periodic-orbits", "ab", "--report", str(path)]) == 1
         assert "refusing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", [
+        # A cut to 1x1 and condition II to the two axis-0 faces, which a 1x1 A
+        # asks for: the certificate passes, but the source h-set has u = 2
+        lambda c: c.update(A=[[c["A"][0][0]]], condition_II={
+            **c["condition_II"],
+            "faces": [f for f in c["condition_II"]["faces"] if f["axis"] == 0]}),
+        lambda c: c.update(A=[c["A"][0], c["A"][1][:1]]),  # ragged
+    ])
+    def test_A_must_match_the_source_exit_dimension(self, cut, symbolic_report,
+                                                     tmp_path, capsys):
+        d = json.loads(json.dumps(symbolic_report))
+        for c in d["covering"]:
+            cut(c)
+        rep = ProofReport.from_dict(d)
+        assert all(c.passed for c in rep.covering) and not rep.covering_passed
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(d))
+        assert main(["periodic-orbits", "ab", "--report", str(path)]) == 1
+        assert "refusing" in capsys.readouterr().err
+
     def test_null_or_missing_cone_check_loads_as_absent(self):
         d = _toy_report().to_dict()
         assert d["hyperbolicity"] is None
