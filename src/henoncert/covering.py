@@ -105,7 +105,7 @@ def linearization_at_center(fc: IteratedMap) -> IMatrix:
     """Point u x u matrix: midpoints of the unstable block of the local
     Jacobian of the chart-conjugated map `fc` at the origin."""
     u = fc.charts()[0].u
-    J = fc.jacobian_from_source(Box.from_point((0.0, 0.0, 0.0)))
+    J = fc.jacobian(Box.from_point((0.0, 0.0, 0.0)))
     return IMatrix([[Interval.point(J[i, j].mid()) for j in range(u)] for i in range(u)])
 
 

@@ -209,8 +209,8 @@ class IteratedMap:
         M_post^-1 and applies `base.times_jacobian` over w_{k-1} ... w_0;
         without one it starts from `base.jacobian_box(w_{k-1})` and steps over
         w_{k-2} ... w_0.  A source chart then multiplies by its basis M_pre.
-        The cone check uses this chain.  `orbit`, if given, is
-        `self.orbit(X)`, reused.
+        The cone check and the covering's linearization `A` use this chain.
+        `orbit`, if given, is `self.orbit(X)`, reused.
         """
         boxes = self.orbit(X) if orbit is None else orbit
         steps = boxes[-2::-1]
@@ -230,9 +230,11 @@ class IteratedMap:
         With a source chart the chain starts from its basis M_pre and applies
         `base.jacobian_step` over w_0 ... w_{k-1}; without one it starts from
         `base.jacobian_box(w_0)` and steps over w_1 ... w_{k-1}.  A target
-        chart then multiplies by its inverse.  Condition I's mean-value form
-        and the covering's linearization `A` use it; moving them to `jacobian`
-        waits on the benchmark fix of ROADMAP item 7.  `orbit`, if given, is
+        chart then multiplies by its inverse.  Only condition I's mean-value
+        form uses it.  On `jacobian` condition I needs 286 boxes instead of
+        364 at the defaults, and `verify-symbolic` runs then get shorter than
+        the benchmark's calibration period, which crashes its worker (ROADMAP
+        item 7); this method goes once that is fixed.  `orbit`, if given, is
         `self.orbit(X)`, reused.
         """
         boxes = self.orbit(X) if orbit is None else orbit
