@@ -2,7 +2,8 @@
 
 For each little box either the image misses the cube entirely (the box
 cannot meet the invariant set) or Df^T Q Df - Q must be positive definite
-by Sylvester's criterion on interval determinants.
+by Sylvester's criterion on interval determinants, for the form
+Q = W diag(Id_u, -Id_s) W with the shared cone scales W = diag(CONE_SCALES).
 
 Run:  python3 demos/04_hyperbolicity.py
 """
@@ -11,17 +12,18 @@ from henoncert import (
     HenonMap,
     IteratedMap,
     check_map_pair,
-    cone_quadratic_form,
     make_paper_hsets,
     paper_map_pairs,
 )
 from henoncert.drivers import run_hyperbolicity
+from henoncert.hyperbolicity import CONE_SCALES, scaled_cone_form
 
 a, b = make_paper_hsets()
 f4 = IteratedMap(HenonMap(), k=4)
 pairs = paper_map_pairs(f4, {"a": a, "b": b})
-# Q = diag(Id_u, -Id_s) is read from each map's charts: diag(1, 1, -1) here
-print("Q =", cone_quadratic_form(a.u, a.s))
+# u and s are read from each map's charts; W is shared by every chart
+print("W = diag", CONE_SCALES)
+print("Q = W diag(Id_u, -Id_s) W =", scaled_cone_form(a.u, a.s))
 
 # One pair at the shipped grid; the outcome is named by its charts
 out = check_map_pair(pairs["aa"], (25, 25, 25))

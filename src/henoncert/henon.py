@@ -58,6 +58,7 @@ class HenonMap:
 
     def __init__(self, params: HenonParams | None = None):
         self.params = params or HenonParams()
+        self._mb = -self.params.b  # the -b entry of Dh, negated once per map
 
     def eval_box(self, X: Box) -> Box:
         if X.dim != 3:
@@ -71,7 +72,7 @@ class HenonMap:
         y = X.coords[1]
         return unchecked_matrix(
             (
-                (_ZERO, y.scale(-2.0), -self.params.b),
+                (_ZERO, y.scale(-2.0), self._mb),
                 (_ONE, _ZERO, _ZERO),
                 (_ZERO, _ONE, _ZERO),
             )
@@ -89,7 +90,7 @@ class HenonMap:
         if X.dim != 3:
             raise IntervalError("Henon map acts on 3-dimensional boxes")
         m2y = X.coords[1].scale(-2.0)
-        mb = -self.params.b
+        mb = self._mb
         r0, r1, r2 = J.rows
         row = []
         for p, q in zip(r1, r2):
@@ -112,7 +113,7 @@ class HenonMap:
         if X.dim != 3:
             raise IntervalError("Henon map acts on 3-dimensional boxes")
         m2y = X.coords[1].scale(-2.0)
-        mb = -self.params.b
+        mb = self._mb
         rows = []
         for p, q, r in J.rows:
             if p.lo == p.hi == 0.0:

@@ -2,10 +2,14 @@
 
 For each chart-conjugated map f and each sub-box B_i of B = [-1,1]^3, either
 the interval image [f(B_i)] misses B entirely (B_i cannot meet the invariant
-set, so it is skipped), or Df(B_i)^T Q Df(B_i) - Q must be verifiably positive
-definite with Q = diag(Id_u, -Id_s), u and s read from f's charts.  A pass
-for all four map pairs yields uniform hyperbolicity of the invariant set;
-`drivers.run_all` runs `check_map_pair` over them.
+set, so it is skipped), or Df(B_i)^T Q Df(B_i) - Q must be verifiably
+positive definite with Q = W diag(Id_u, -Id_s) W, u and s read from f's
+charts and W = diag(CONE_SCALES), the cone scales shared by every chart (as
+in h-sets with cones, Zgliczynski, JDE 246, 2009, with one form for all
+sets).  The check scales the rows of Df by W, so the cone matrix is
+(W Df)^T diag(Id_u, -Id_s) (W Df) - Q.  A pass for all four map pairs
+yields uniform hyperbolicity of the invariant set; `drivers.run_all` runs
+`check_map_pair` over them.
 
 `sweep` accepts each sub-box by its own enclosure or by that of a block of
 sub-boxes containing it: a block whose image misses B counts all of them as
@@ -33,20 +37,63 @@ from .sweep import MAX_WITNESSES, UNIT, Record, sweep
 HYP_GRID = (25, 25, 25)  # shipped cone-check grid
 
 
+# W = diag(CONE_SCALES): on the target-side Jacobian they cut the shipped 25^3
+# cone check from 426 boxes (W = Id) to 350.  Each w_k^2 is a double, so the
+# form W diag(Id_u, -Id_s) W is a point matrix.
+CONE_SCALES = (1.0, 0.625, 0.75)
+
+
 def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
     """Q = diag(Id_u, -Id_s): expansion-positive, contraction-negative."""
     return IMatrix.diagonal([1.0] * u + [-1.0] * s)
 
 
-def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
-    """Interval enclosure of Df^T Q Df - Q for Q = diag(q), each q_k = +-1.
+def scaled_cone_form(u: int = 2, s: int = 1) -> IMatrix:
+    """W diag(Id_u, -Id_s) W for W = diag(CONE_SCALES), the form the cone
+    check certifies."""
+    if u + s != len(CONE_SCALES):
+        raise IntervalError(f"cone scales are given for {len(CONE_SCALES)} dimensions")
+    return IMatrix.diagonal([w * w if k < u else -(w * w)
+                             for k, w in enumerate(CONE_SCALES)])
+
+
+def scale_rows(J: IMatrix) -> IMatrix:
+    """W J, enclosed: row k of J times CONE_SCALES[k].  Rows with w_k = 1 and
+    point-zero entries are kept as they are, since the products are exact."""
+    if J.nrows != len(CONE_SCALES):
+        raise IntervalError(f"cone scales are given for {len(CONE_SCALES)} dimensions")
+    return unchecked_matrix(tuple(
+        r if w == 1.0 else tuple(e if e.lo == e.hi == 0.0 else e.scale(w) for e in r)
+        for r, w in zip(J.rows, CONE_SCALES)
+    ))
+
+
+def _is_diagonal(P: IMatrix, n: int) -> bool:
+    """P is n x n and each off-diagonal entry is the point 0 (plain loops:
+    this runs once per cone matrix)."""
+    if P.nrows != n:
+        return False
+    for i, r in enumerate(P.rows):
+        if len(r) != n:
+            return False
+        for j, e in enumerate(r):
+            if j != i and (e.lo != 0.0 or e.hi != 0.0):
+                return False
+    return True
+
+
+def cone_matrix(Df: IMatrix, Q: IMatrix, Q_source: IMatrix | None = None) -> IMatrix:
+    """Interval enclosure of Df^T Q Df - Q_source for Q = diag(q), each
+    q_k = +-1, and a diagonal Q_source (Q itself when None).
 
     Only the upper triangle is computed, S_ij = sum_k q_k D_ki D_kj (with
-    sqr(D_ki) on the diagonal, less q_i): each sum starts from its first
-    term, negated when q_0 < 0, and adds or subtracts the others by the sign
-    q_k.  It is then mirrored, since every member matrix is symmetric.
-    IntervalError unless Q is diag(+-1), the form `cone_quadratic_form` makes:
-    square, each off-diagonal entry the point 0 and each diagonal one +-1.
+    sqr(D_ki) on the diagonal, less Q_source's entry): each sum starts from
+    its first term, negated when q_0 < 0, and adds or subtracts the others by
+    the sign q_k.  It is then mirrored, since every member matrix is
+    symmetric.  IntervalError unless Q is diag(+-1), the form
+    `cone_quadratic_form` makes: square, each off-diagonal entry the point 0
+    and each diagonal one +-1; and unless Q_source is of Q's size with each
+    off-diagonal entry the point 0, as `scaled_cone_form` is.
     """
     n = Q.nrows
     for i, r in enumerate(Q.rows):
@@ -57,6 +104,10 @@ def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
             if not (lo == hi and (abs(lo) == 1.0 if i == j else lo == 0.0)):
                 raise IntervalError("cone form Q must be diag(+-1)")
     q = [Q.rows[i][i].lo for i in range(n)]
+    if Q_source is None:
+        Q_source = Q
+    elif not _is_diagonal(Q_source, n):
+        raise IntervalError("source form must be diagonal, of the size of Q")
     if Df.nrows != n or Df.ncols != n:
         raise IntervalError("Df must be square, of the size of Q")
     cols = list(zip(*Df.rows))
@@ -68,7 +119,7 @@ def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
             for k in range(1, n):
                 acc = acc + t[k] if q[k] > 0 else acc - t[k]
             if i == j:
-                acc = acc - Q[i, i]
+                acc = acc - Q_source.rows[i][i]
             S[i][j] = S[j][i] = acc
     return unchecked_matrix(tuple(map(tuple, S)))
 
@@ -113,19 +164,23 @@ def check_map_pair(
     the outcome is labelled by its charts, source then target ("ab").
 
     A box is skipped when its image misses B, else certified when its cone
-    matrix passes Sylvester's criterion, whose minors are evaluated once, up
-    to the first that fails.  The lower bounds of all leading minors are
-    computed after the sweep, and only for the listed failing cells, each
-    rebuilt from its endpoints: a rejected block needs none of them.
+    matrix, `cone_matrix(scale_rows(Df), diag(Id_u, -Id_s), Q)`, passes
+    Sylvester's criterion, whose minors are evaluated once, up to the first
+    that fails.  The lower bounds of all leading minors are computed after
+    the sweep, and only for the listed failing cells, each rebuilt from its
+    endpoints: a rejected block needs none of them.
     """
     N0, N1 = fc.charts()  # `conjugated` made both charts share (u, s)
-    Q = cone_quadratic_form(N0.u, N0.s)
+    signs, Q = cone_quadratic_form(N0.u, N0.s), scaled_cone_form(N0.u, N0.s)
+
+    def cone(Df):
+        return cone_matrix(scale_rows(Df), signs, Q)
 
     def skip_or_pd(Bi):
         orbit = fc.orbit(Bi)
         if fc.eval(Bi, orbit).is_disjoint(UNIT):
             return "skipped_disjoint"
-        if is_positive_definite(cone_matrix(fc.jacobian(Bi, orbit), Q)):
+        if is_positive_definite(cone(fc.jacobian(Bi, orbit))):
             return "positive_definite"
         return {"box": Bi.endpoints()}
 
@@ -133,7 +188,7 @@ def check_map_pair(
     for w in failures:
         cell = Box([Interval(lo, hi) for lo, hi in w["box"]])
         w["minor_lower_bounds"] = list(
-            leading_minor_lower_bounds(cone_matrix(fc.jacobian(cell), Q))
+            leading_minor_lower_bounds(cone(fc.jacobian(cell)))
         )
     return MapPairOutcome(label=N0.name + N1.name, failures=failures, **counts)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from henoncert import (
 )
 from henoncert.drivers import run_hyperbolicity
 from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, HSet
+from henoncert.hyperbolicity import CONE_SCALES, scale_rows, scaled_cone_form
 from henoncert.intervals import Interval, IntervalError
 from henoncert.linalg import subdivide_box
 
@@ -70,6 +72,34 @@ class TestConeMatrix:
     def test_q_must_be_signed_identity_of_df_size(self, Q):
         with pytest.raises(IntervalError):
             cone_matrix(IMatrix.identity(3), Q)
+
+    def test_source_form_defaults_to_q(self):
+        Q = cone_quadratic_form()
+        Df = IMatrix.from_floats([[2, 0.5, 0], [1, -1, 0], [0, 1, 0.1]])
+        assert cone_matrix(Df, Q) == cone_matrix(Df, Q, Q)
+        P = IMatrix.diagonal([0.25, Interval(0.5, 0.75), -2.0])
+        S, T = cone_matrix(Df, Q), cone_matrix(Df, Q, P)
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    assert S[i, j] == T[i, j]
+        # columns (2, 1, 0), (0.5, -1, 1) and (0, 0, 0.1), less P's diagonal:
+        # 4.75, [-0.5, -0.25] and 1.99, within a few ulps
+        for (i, lo, hi) in ((0, 4.75, 4.75), (1, -0.5, -0.25), (2, 1.99, 1.99)):
+            assert T[i, i].lo <= lo + 1e-14 and hi - 1e-14 <= T[i, i].hi
+            assert T[i, i].width() < hi - lo + 1e-14
+
+    @pytest.mark.parametrize("P", [
+        IMatrix.from_floats([[1, 0.5, 0], [0, 1, 0], [0, 0, -1]]),
+        IMatrix.diagonal([1.0, -1.0]),
+        IMatrix.from_floats([[1, 0, 0], [0, 1, 0]]),
+        IMatrix([[Interval(1.0, 1.0), Interval(0.0, 0.0), Interval(0.0, 0.0)],
+                 [Interval(0.0, 0.0), Interval(1.0, 1.0), Interval(-1e-300, 0.0)],
+                 [Interval(0.0, 0.0), Interval(0.0, 0.0), Interval(-1.0, -1.0)]]),
+    ])
+    def test_source_form_must_be_diagonal_of_q_size(self, P):
+        with pytest.raises(IntervalError):
+            cone_matrix(IMatrix.identity(3), cone_quadratic_form(), P)
 
     def test_member_containment_random(self, rng):
         Q = cone_quadratic_form()
@@ -226,7 +256,7 @@ class TestWitnessMinors:
 
         monkeypatch.setattr(hyp, "leading_minor_lower_bounds", counted)
         cells = list(subdivide_box(Box.cube(-1, 1, 3), grid))
-        Q = cone_quadratic_form()
+        signs, Q = cone_quadratic_form(), scaled_cone_form()
         listed = 0
         for f in paper_map_pairs(h4, paper_hsets).values():
             calls.clear()
@@ -238,7 +268,7 @@ class TestWitnessMinors:
                 assert list(w) == ["index", "box", "minor_lower_bounds"]
                 cell = cells[w["index"]]
                 assert w["box"] == cell.endpoints()
-                S = cone_matrix(f.jacobian(cell), Q)
+                S = cone_matrix(scale_rows(f.jacobian(cell)), signs, Q)
                 assert w["minor_lower_bounds"] == list(direct(S))
         assert listed > 0
 
@@ -269,8 +299,8 @@ class TestSkipAndPDSoundness:
     def test_pd_soundness_sampled(self, paper_hsets, h4, rng):
         pairs = paper_map_pairs(h4, paper_hsets)
         f = pairs["aa"]
-        Q = cone_quadratic_form()
-        q = np.diag([1.0, 1.0, -1.0])
+        signs, Q = cone_quadratic_form(), scaled_cone_form()
+        q = np.diag([1.0, 0.390625, -0.5625])  # W diag(1, 1, -1) W
         from henoncert import is_positive_definite
         from henoncert.linalg import subdivide_box
 
@@ -278,7 +308,7 @@ class TestSkipAndPDSoundness:
         for Bi in subdivide_box(Box.cube(-1, 1, 3), (12, 12, 12)):
             if f.eval(Bi).is_disjoint(Box.cube(-1, 1, 3)):
                 continue
-            S = cone_matrix(f.jacobian(Bi), Q)
+            S = cone_matrix(scale_rows(f.jacobian(Bi)), signs, Q)
             if not is_positive_definite(S):
                 continue
             # symmetric member built from an actual point Jacobian
@@ -312,6 +342,56 @@ class TestTargetSideChainGain:
     def test_all_pairs_pass_at_15_cubed(self, paper_hsets, h4):
         for label, f in paper_map_pairs(h4, paper_hsets).items():
             assert check_map_pair(f, (15, 15, 15)).passed, label
+
+
+class TestConeScales:
+    """The cone check's form W diag(Id_u, -Id_s) W, W = diag(CONE_SCALES)."""
+
+    def test_form_is_exact(self):
+        assert CONE_SCALES == (1.0, 0.625, 0.75)
+        assert scaled_cone_form() == IMatrix.diagonal([1.0, 0.390625, -0.5625])
+        assert scaled_cone_form(1, 2) == IMatrix.diagonal([1.0, -0.390625, -0.5625])
+        with pytest.raises(IntervalError):
+            scaled_cone_form(2, 2)
+
+    def test_scaled_rows_enclose_the_exact_products(self):
+        J = IMatrix([[Interval(0.1 * (i + j) - 1.0, 0.1 * (i + j)) for j in range(3)]
+                     for i in range(3)])
+        got = scale_rows(J)
+        assert got.rows[0] is J.rows[0]
+        for i, w in ((1, Fraction(5, 8)), (2, Fraction(3, 4))):
+            for e, g in zip(J.rows[i], got.rows[i]):
+                assert Fraction(g.lo) <= w * Fraction(e.lo)
+                assert w * Fraction(e.hi) <= Fraction(g.hi)
+        with pytest.raises(IntervalError):
+            scale_rows(IMatrix(J.rows[:2]))
+
+    def test_point_zeros_stay_exact(self):
+        # 0.625 is no power of two, so `Interval.scale` would widen a zero
+        one, zero = Interval(1.0, 1.0), Interval(0.0, 0.0)
+        got = scale_rows(IMatrix.from_floats([[0, 1, 0], [0, 1, 0], [1, 0, 0]]))
+        assert got == IMatrix([[zero, one, zero], [zero, one.scale(0.625), zero],
+                               [one.scale(0.75), zero, zero]])
+        assert zero.scale(0.625) != zero
+
+    def test_fewer_boxes_at_the_shipped_grid(self, paper_hsets, h4, monkeypatch):
+        # W = Id evaluated 426 boxes, counted as IteratedMap.orbit calls
+        calls = []
+        orbit = IteratedMap.orbit
+
+        def counted(self, X):
+            calls.append(X)
+            return orbit(self, X)
+
+        monkeypatch.setattr(IteratedMap, "orbit", counted)
+        for label, f in paper_map_pairs(h4, paper_hsets).items():
+            assert check_map_pair(f, (25, 25, 25)).passed, label
+        assert len(calls) <= 352
+
+    def test_fewer_bb_failures_at_10_cubed(self, paper_hsets, h4):
+        # W = Id failed 30 cells
+        f = paper_map_pairs(h4, paper_hsets)["bb"]
+        assert check_map_pair(f, (10, 10, 10)).failed <= 16
 
 
 class TestCertificates:
