@@ -16,14 +16,14 @@ from henoncert import (
     paper_map_pairs,
 )
 from henoncert.drivers import run_hyperbolicity
-from henoncert.hyperbolicity import CONE_SCALES, scaled_cone_form
+from henoncert.hyperbolicity import CONE_SCALES, cone_quadratic_form
 
 a, b = make_paper_hsets()
 f4 = IteratedMap(HenonMap(), k=4)
 pairs = paper_map_pairs(f4, {"a": a, "b": b})
 # u and s are read from each map's charts; W is shared by every chart
 print("W = diag", CONE_SCALES)
-print("Q = W diag(Id_u, -Id_s) W =", scaled_cone_form(a.u, a.s))
+print("Q = W diag(Id_u, -Id_s) W =", cone_quadratic_form(a.u, a.s))
 
 # One pair at the shipped grid; the outcome is named by its charts
 out = check_map_pair(pairs["aa"], (25, 25, 25))

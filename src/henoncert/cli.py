@@ -9,8 +9,8 @@ Subcommands:
 
 Exit code is 0 exactly when the requested verdict is true, 1 when it is not
 or when standard output is closed early, and 2 for bad input: a malformed
-flag (a non-finite seed among them), h-set file or proof report, or a
-missing one.
+flag (a non-finite seed among them), h-set file or proof report, a missing
+one, or h-sets whose image under the iterate overflows.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .covering import BODY_GRID, FACE_GRID
 from .henon import DivergenceError, HenonParams, eval_point_fast
 from .hsets import HSet, load_hsets
 from .hyperbolicity import HYP_GRID
+from .intervals import EnclosureError
 from .report import (
     ProofReport,
     ReportError,
@@ -145,11 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _hsets(source: str, build):
-    """The h-sets `build()` returns, if they define `a` and `b` with one (u, s)."""
+    """The h-sets `build()` returns, if each is 3-dimensional, as the map is,
+    and they define `a` and `b` with one (u, s)."""
     try:
         hs = build()
     except _INPUT_ERRORS as e:
         raise _BadInput(f"cannot use h-sets from {source}: {type(e).__name__}: {e}")
+    dims = {name: h.dim for name, h in hs.items() if h.dim != 3}
+    if dims:
+        raise _BadInput(f"h-sets from {source} must be 3-dimensional: {dims}")
     missing = {"a", "b"} - set(hs)
     if missing:
         raise _BadInput(f"h-sets from {source} must define sets named: "
@@ -187,14 +192,19 @@ def _print_hyperbolicity(report: ProofReport):
 
 def cmd_verify(args) -> int:
     """verify-symbolic, verify-hyperbolicity and verify-all."""
-    hsets = None
+    hsets, source = None, "the shipped h-sets"
     if args.hsets is not None:
         hsets = _hsets(args.hsets, lambda: load_hsets(args.hsets))
+        source = f"h-sets from {args.hsets}"
     grids = {g: getattr(args, g, None) for g in _GRIDS}  # None: not run
-    report = drivers.run_all(
-        **grids, iterate=args.map_iterate, hsets=hsets, workers=args.workers,
-        max_failures_reported=args.max_failures,
-    )
+    try:
+        report = drivers.run_all(
+            **grids, iterate=args.map_iterate, hsets=hsets, workers=args.workers,
+            max_failures_reported=args.max_failures,
+        )
+    except EnclosureError as e:
+        raise _BadInput(f"cannot enclose the image of {source} under iterate "
+                        f"{args.map_iterate}: {e}")
     ok = True
     if grids["body_grid"] is not None:
         _print_covering(report)

@@ -6,10 +6,8 @@ set, so it is skipped), or Df(B_i)^T Q Df(B_i) - Q must be verifiably
 positive definite with Q = W diag(Id_u, -Id_s) W, u and s read from f's
 charts and W = diag(CONE_SCALES), the cone scales shared by every chart (as
 in h-sets with cones, Zgliczynski, JDE 246, 2009, with one form for all
-sets).  The check scales the rows of Df by W, so the cone matrix is
-(W Df)^T diag(Id_u, -Id_s) (W Df) - Q.  A pass for all four map pairs
-yields uniform hyperbolicity of the invariant set; `drivers.run_all` runs
-`check_map_pair` over them.
+sets).  A pass for all four map pairs yields uniform hyperbolicity of the
+invariant set; `drivers.run_all` runs `check_map_pair` over them.
 
 `sweep` accepts each sub-box by its own enclosure or by that of a block of
 sub-boxes containing it: a block whose image misses B counts all of them as
@@ -44,70 +42,35 @@ CONE_SCALES = (1.0, 0.625, 0.75)
 
 
 def cone_quadratic_form(u: int = 2, s: int = 1) -> IMatrix:
-    """Q = diag(Id_u, -Id_s): expansion-positive, contraction-negative."""
-    return IMatrix.diagonal([1.0] * u + [-1.0] * s)
-
-
-def scaled_cone_form(u: int = 2, s: int = 1) -> IMatrix:
-    """W diag(Id_u, -Id_s) W for W = diag(CONE_SCALES), the form the cone
-    check certifies."""
+    """Q = W diag(Id_u, -Id_s) W for W = diag(CONE_SCALES): expansion-positive,
+    contraction-negative, diag(1, 0.390625, -0.5625) for the shipped sets."""
     if u + s != len(CONE_SCALES):
         raise IntervalError(f"cone scales are given for {len(CONE_SCALES)} dimensions")
     return IMatrix.diagonal([w * w if k < u else -(w * w)
                              for k, w in enumerate(CONE_SCALES)])
 
 
-def scale_rows(J: IMatrix) -> IMatrix:
-    """W J, enclosed: row k of J times CONE_SCALES[k].  Rows with w_k = 1 and
-    point-zero entries are kept as they are, since the products are exact."""
-    if J.nrows != len(CONE_SCALES):
-        raise IntervalError(f"cone scales are given for {len(CONE_SCALES)} dimensions")
-    return unchecked_matrix(tuple(
-        r if w == 1.0 else tuple(e if e.lo == e.hi == 0.0 else e.scale(w) for e in r)
-        for r, w in zip(J.rows, CONE_SCALES)
-    ))
-
-
-def _is_diagonal(P: IMatrix, n: int) -> bool:
-    """P is n x n and each off-diagonal entry is the point 0 (plain loops:
-    this runs once per cone matrix)."""
-    if P.nrows != n:
-        return False
-    for i, r in enumerate(P.rows):
-        if len(r) != n:
-            return False
-        for j, e in enumerate(r):
-            if j != i and (e.lo != 0.0 or e.hi != 0.0):
-                return False
-    return True
-
-
-def cone_matrix(Df: IMatrix, Q: IMatrix, Q_source: IMatrix | None = None) -> IMatrix:
-    """Interval enclosure of Df^T Q Df - Q_source for Q = diag(q), each
-    q_k = +-1, and a diagonal Q_source (Q itself when None).
+def cone_matrix(Df: IMatrix, Q: IMatrix) -> IMatrix:
+    """Interval enclosure of Df^T Q Df - Q for a diagonal point matrix
+    Q = diag(q).
 
     Only the upper triangle is computed, S_ij = sum_k q_k D_ki D_kj (with
-    sqr(D_ki) on the diagonal, less Q_source's entry): each sum starts from
-    its first term, negated when q_0 < 0, and adds or subtracts the others by
-    the sign q_k.  It is then mirrored, since every member matrix is
-    symmetric.  IntervalError unless Q is diag(+-1), the form
-    `cone_quadratic_form` makes: square, each off-diagonal entry the point 0
-    and each diagonal one +-1; and unless Q_source is of Q's size with each
-    off-diagonal entry the point 0, as `scaled_cone_form` is.
+    sqr(D_ki) on the diagonal, less q_i): each term is scaled by |q_k| unless
+    |q_k| = 1, each sum starts from its first term, negated when q_0 is not
+    positive, and adds or subtracts the others by the sign of q_k.  It is
+    then mirrored, since every member matrix is symmetric.  IntervalError
+    unless Q is square with each entry a point and each off-diagonal one 0,
+    as `cone_quadratic_form` makes, and Df is square of Q's size.
     """
     n = Q.nrows
     for i, r in enumerate(Q.rows):
         if len(r) != n:
-            raise IntervalError("cone form Q must be diag(+-1)")
+            raise IntervalError("cone form Q must be a diagonal point matrix")
         for j, e in enumerate(r):
-            lo, hi = e.lo, e.hi
-            if not (lo == hi and (abs(lo) == 1.0 if i == j else lo == 0.0)):
-                raise IntervalError("cone form Q must be diag(+-1)")
+            if e.lo != e.hi or (i != j and e.lo != 0.0):
+                raise IntervalError("cone form Q must be a diagonal point matrix")
     q = [Q.rows[i][i].lo for i in range(n)]
-    if Q_source is None:
-        Q_source = Q
-    elif not _is_diagonal(Q_source, n):
-        raise IntervalError("source form must be diagonal, of the size of Q")
+    scales = [abs(v) for v in q]
     if Df.nrows != n or Df.ncols != n:
         raise IntervalError("Df must be square, of the size of Q")
     cols = list(zip(*Df.rows))
@@ -115,11 +78,12 @@ def cone_matrix(Df: IMatrix, Q: IMatrix, Q_source: IMatrix | None = None) -> IMa
     for i in range(n):
         for j in range(i, n):
             t = [a.sqr() if i == j else a * b for a, b in zip(cols[i], cols[j])]
+            t = [x if c == 1.0 else x.scale(c) for x, c in zip(t, scales)]
             acc = t[0] if q[0] > 0 else -t[0]
             for k in range(1, n):
                 acc = acc + t[k] if q[k] > 0 else acc - t[k]
             if i == j:
-                acc = acc - Q_source.rows[i][i]
+                acc = acc - Q.rows[i][i]
             S[i][j] = S[j][i] = acc
     return unchecked_matrix(tuple(map(tuple, S)))
 
@@ -164,23 +128,20 @@ def check_map_pair(
     the outcome is labelled by its charts, source then target ("ab").
 
     A box is skipped when its image misses B, else certified when its cone
-    matrix, `cone_matrix(scale_rows(Df), diag(Id_u, -Id_s), Q)`, passes
+    matrix, `cone_matrix(Df, Q)` for Q = `cone_quadratic_form(u, s)`, passes
     Sylvester's criterion, whose minors are evaluated once, up to the first
     that fails.  The lower bounds of all leading minors are computed after
     the sweep, and only for the listed failing cells, each rebuilt from its
     endpoints: a rejected block needs none of them.
     """
     N0, N1 = fc.charts()  # `conjugated` made both charts share (u, s)
-    signs, Q = cone_quadratic_form(N0.u, N0.s), scaled_cone_form(N0.u, N0.s)
-
-    def cone(Df):
-        return cone_matrix(scale_rows(Df), signs, Q)
+    Q = cone_quadratic_form(N0.u, N0.s)
 
     def skip_or_pd(Bi):
         orbit = fc.orbit(Bi)
         if fc.eval(Bi, orbit).is_disjoint(UNIT):
             return "skipped_disjoint"
-        if is_positive_definite(cone(fc.jacobian(Bi, orbit))):
+        if is_positive_definite(cone_matrix(fc.jacobian(Bi, orbit), Q)):
             return "positive_definite"
         return {"box": Bi.endpoints()}
 
@@ -188,7 +149,7 @@ def check_map_pair(
     for w in failures:
         cell = Box([Interval(lo, hi) for lo, hi in w["box"]])
         w["minor_lower_bounds"] = list(
-            leading_minor_lower_bounds(cone(fc.jacobian(cell)))
+            leading_minor_lower_bounds(cone_matrix(fc.jacobian(cell), Q))
         )
     return MapPairOutcome(label=N0.name + N1.name, failures=failures, **counts)
 

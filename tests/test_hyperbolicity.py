@@ -17,7 +17,7 @@ from henoncert import (
 )
 from henoncert.drivers import run_hyperbolicity
 from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, HSet
-from henoncert.hyperbolicity import CONE_SCALES, scale_rows, scaled_cone_form
+from henoncert.hyperbolicity import CONE_SCALES
 from henoncert.intervals import Interval, IntervalError
 from henoncert.linalg import subdivide_box
 
@@ -39,9 +39,10 @@ def _hsets_u1_s2():
 
 class TestConeMatrix:
     def test_expanding_contracting_diagonal(self):
+        # q_i (d_i^2 - 1) for Q = diag(1, 0.390625, -0.5625)
         Q = cone_quadratic_form()
         S = cone_matrix(IMatrix.diagonal([2.0, 2.0, 0.5]), Q)
-        for i, v in enumerate([3.0, 3.0, 0.75]):
+        for i, v in enumerate([3.0, 1.171875, 0.421875]):
             assert S[i, i].contains_point(v)
 
     def test_identity_gives_zero(self):
@@ -57,49 +58,36 @@ class TestConeMatrix:
         Q = cone_quadratic_form()
         assert not is_positive_definite(cone_matrix(IMatrix.identity(3), Q))
 
-    def test_q_shape(self):
-        Q = cone_quadratic_form(2, 1)
-        assert Q == IMatrix.diagonal([1.0, 1.0, -1.0])
-
     @pytest.mark.parametrize("Q", [
-        IMatrix.diagonal([2.0, 1.0, -1.0]),
         IMatrix.diagonal([Interval(0.5, 1.0), 1.0, -1.0]),
         IMatrix.diagonal([Interval(1.0, 2.0), 1.0, -1.0]),
         IMatrix.from_floats([[1, 0.5, 0], [0, 1, 0], [0, 0, -1]]),
-        IMatrix.diagonal([1.0, -1.0]),
-        IMatrix.from_floats([[1, 0, 0], [0, 1, 0]]),
-    ])
-    def test_q_must_be_signed_identity_of_df_size(self, Q):
-        with pytest.raises(IntervalError):
-            cone_matrix(IMatrix.identity(3), Q)
-
-    def test_source_form_defaults_to_q(self):
-        Q = cone_quadratic_form()
-        Df = IMatrix.from_floats([[2, 0.5, 0], [1, -1, 0], [0, 1, 0.1]])
-        assert cone_matrix(Df, Q) == cone_matrix(Df, Q, Q)
-        P = IMatrix.diagonal([0.25, Interval(0.5, 0.75), -2.0])
-        S, T = cone_matrix(Df, Q), cone_matrix(Df, Q, P)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert S[i, j] == T[i, j]
-        # columns (2, 1, 0), (0.5, -1, 1) and (0, 0, 0.1), less P's diagonal:
-        # 4.75, [-0.5, -0.25] and 1.99, within a few ulps
-        for (i, lo, hi) in ((0, 4.75, 4.75), (1, -0.5, -0.25), (2, 1.99, 1.99)):
-            assert T[i, i].lo <= lo + 1e-14 and hi - 1e-14 <= T[i, i].hi
-            assert T[i, i].width() < hi - lo + 1e-14
-
-    @pytest.mark.parametrize("P", [
-        IMatrix.from_floats([[1, 0.5, 0], [0, 1, 0], [0, 0, -1]]),
-        IMatrix.diagonal([1.0, -1.0]),
-        IMatrix.from_floats([[1, 0, 0], [0, 1, 0]]),
         IMatrix([[Interval(1.0, 1.0), Interval(0.0, 0.0), Interval(0.0, 0.0)],
                  [Interval(0.0, 0.0), Interval(1.0, 1.0), Interval(-1e-300, 0.0)],
                  [Interval(0.0, 0.0), Interval(0.0, 0.0), Interval(-1.0, -1.0)]]),
+        IMatrix.diagonal([1.0, -1.0]),
+        IMatrix.from_floats([[1, 0, 0], [0, 1, 0]]),
     ])
-    def test_source_form_must_be_diagonal_of_q_size(self, P):
+    def test_q_must_be_a_diagonal_point_matrix_of_df_size(self, Q):
         with pytest.raises(IntervalError):
-            cone_matrix(IMatrix.identity(3), cone_quadratic_form(), P)
+            cone_matrix(IMatrix.identity(3), Q)
+
+    @pytest.mark.parametrize("q", [
+        [0.25, 0.5, -2.0], [1.0, 0.390625, -0.5625], [-1.0, 1.0, 0.0],
+    ])
+    def test_any_diagonal_point_form(self, q):
+        # each entry encloses the exact value of the point matrices, within a
+        # few ulps, also where some |q_k| is not 1
+        Df = IMatrix.from_floats([[2, 0.5, 0], [1, -1, 0], [0, 1, 0.1]])
+        D = [[Fraction(e.lo) for e in r] for r in Df.rows]
+        S = cone_matrix(Df, IMatrix.diagonal(q))
+        for i in range(3):
+            for j in range(3):
+                exact = (sum(Fraction(q[k]) * D[k][i] * D[k][j] for k in range(3))
+                         - (Fraction(q[i]) if i == j else 0))
+                assert Fraction(S[i, j].lo) <= exact <= Fraction(S[i, j].hi)
+                assert S[i, j].width() < 1e-14
+        assert S == S.transpose()
 
     def test_member_containment_random(self, rng):
         Q = cone_quadratic_form()
@@ -114,7 +102,7 @@ class TestConeMatrix:
             Dh = np.array(
                 [[rng.uniform(Df[i, j].lo, Df[i, j].hi) for j in range(3)] for i in range(3)]
             )
-            q = np.diag([1.0, 1.0, -1.0])
+            q = np.diag([1.0, 0.390625, -0.5625])
             exact = Dh.T @ q @ Dh - q
             S = cone_matrix(Df, Q)
             for i in range(3):
@@ -176,10 +164,10 @@ class TestPaperMaps:
             paper_map_pairs(h4, mixed)
 
     def test_cone_form_follows_hsets(self, paper_hsets, h4):
-        # u=1, s=2 charts: Q = diag(1, -1, -1) comes from the charts, so each
-        # pair's bare check agrees with the driver's outcome, and differs from
-        # that of the u=2, s=1 charts (diag(1, 1, -1) certifies boxes that
-        # diag(1, -1, -1) does not)
+        # u=1, s=2 charts: Q = W diag(1, -1, -1) W comes from the charts, so
+        # each pair's bare check agrees with the driver's outcome, and differs
+        # from that of the u=2, s=1 charts (W diag(1, 1, -1) W certifies boxes
+        # that W diag(1, -1, -1) W does not)
         grid = (4, 4, 4)
         hs = _hsets_u1_s2()
         got = [check_map_pair(fc, grid).to_dict()
@@ -256,7 +244,7 @@ class TestWitnessMinors:
 
         monkeypatch.setattr(hyp, "leading_minor_lower_bounds", counted)
         cells = list(subdivide_box(Box.cube(-1, 1, 3), grid))
-        signs, Q = cone_quadratic_form(), scaled_cone_form()
+        Q = cone_quadratic_form()
         listed = 0
         for f in paper_map_pairs(h4, paper_hsets).values():
             calls.clear()
@@ -268,7 +256,7 @@ class TestWitnessMinors:
                 assert list(w) == ["index", "box", "minor_lower_bounds"]
                 cell = cells[w["index"]]
                 assert w["box"] == cell.endpoints()
-                S = cone_matrix(scale_rows(f.jacobian(cell)), signs, Q)
+                S = cone_matrix(f.jacobian(cell), Q)
                 assert w["minor_lower_bounds"] == list(direct(S))
         assert listed > 0
 
@@ -299,7 +287,7 @@ class TestSkipAndPDSoundness:
     def test_pd_soundness_sampled(self, paper_hsets, h4, rng):
         pairs = paper_map_pairs(h4, paper_hsets)
         f = pairs["aa"]
-        signs, Q = cone_quadratic_form(), scaled_cone_form()
+        Q = cone_quadratic_form()
         q = np.diag([1.0, 0.390625, -0.5625])  # W diag(1, 1, -1) W
         from henoncert import is_positive_definite
         from henoncert.linalg import subdivide_box
@@ -308,7 +296,7 @@ class TestSkipAndPDSoundness:
         for Bi in subdivide_box(Box.cube(-1, 1, 3), (12, 12, 12)):
             if f.eval(Bi).is_disjoint(Box.cube(-1, 1, 3)):
                 continue
-            S = cone_matrix(scale_rows(f.jacobian(Bi)), signs, Q)
+            S = cone_matrix(f.jacobian(Bi), Q)
             if not is_positive_definite(S):
                 continue
             # symmetric member built from an actual point Jacobian
@@ -349,30 +337,13 @@ class TestConeScales:
 
     def test_form_is_exact(self):
         assert CONE_SCALES == (1.0, 0.625, 0.75)
-        assert scaled_cone_form() == IMatrix.diagonal([1.0, 0.390625, -0.5625])
-        assert scaled_cone_form(1, 2) == IMatrix.diagonal([1.0, -0.390625, -0.5625])
-        with pytest.raises(IntervalError):
-            scaled_cone_form(2, 2)
-
-    def test_scaled_rows_enclose_the_exact_products(self):
-        J = IMatrix([[Interval(0.1 * (i + j) - 1.0, 0.1 * (i + j)) for j in range(3)]
-                     for i in range(3)])
-        got = scale_rows(J)
-        assert got.rows[0] is J.rows[0]
-        for i, w in ((1, Fraction(5, 8)), (2, Fraction(3, 4))):
-            for e, g in zip(J.rows[i], got.rows[i]):
-                assert Fraction(g.lo) <= w * Fraction(e.lo)
-                assert w * Fraction(e.hi) <= Fraction(g.hi)
-        with pytest.raises(IntervalError):
-            scale_rows(IMatrix(J.rows[:2]))
-
-    def test_point_zeros_stay_exact(self):
-        # 0.625 is no power of two, so `Interval.scale` would widen a zero
-        one, zero = Interval(1.0, 1.0), Interval(0.0, 0.0)
-        got = scale_rows(IMatrix.from_floats([[0, 1, 0], [0, 1, 0], [1, 0, 0]]))
-        assert got == IMatrix([[zero, one, zero], [zero, one.scale(0.625), zero],
-                               [one.scale(0.75), zero, zero]])
-        assert zero.scale(0.625) != zero
+        assert cone_quadratic_form() == IMatrix.diagonal([1.0, 0.390625, -0.5625])
+        assert cone_quadratic_form(2, 1) == cone_quadratic_form()
+        assert cone_quadratic_form(1, 2) == IMatrix.diagonal([1.0, -0.390625, -0.5625])
+        assert cone_quadratic_form(3, 0) == IMatrix.diagonal([1.0, 0.390625, 0.5625])
+        for u, s in ((2, 2), (1, 1), (2, 0)):
+            with pytest.raises(IntervalError):
+                cone_quadratic_form(u, s)
 
     def test_fewer_boxes_at_the_shipped_grid(self, paper_hsets, h4, monkeypatch):
         # W = Id evaluated 426 boxes, counted as IteratedMap.orbit calls

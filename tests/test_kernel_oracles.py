@@ -16,12 +16,11 @@ bits (exact products, say) must change these references with it.
 
 The cone matrix and its leading minors are checked the same way, entry for
 entry under `==`, against their plain forms kept below: sums that start
-from an interval zero, `Q` and the source form checked through
-`Interval.__eq__`, and every leading minor taken from a slice.  The cone
-matrix must also enclose the exact `Fraction` matrices of the members made
-from the endpoints of `Df` and of the source form, and the exact
-Df(x)^T Q Df(x) - Q, Q the cone check's scaled form, at rational points x
-of the boxes the cone check evaluates.
+from an interval zero, `Q` checked through `Interval.__eq__`, and every
+leading minor taken from a slice.  The cone matrix must also enclose the
+exact `Fraction` matrices of the members made from the endpoints of `Df`,
+and the exact Df(x)^T Q Df(x) - Q, Q the cone check's form, at rational
+points x of the boxes the cone check evaluates.
 """
 
 import math
@@ -278,20 +277,14 @@ def test_mul_sign_cases_and_overflow():
 _ZERO = Interval(0.0, 0.0)
 
 
-def ref_cone_matrix(Df, Q, Q_source=None):
+def ref_cone_matrix(Df, Q):
     n = Q.nrows
     if any(len(r) != n for r in Q.rows) or not all(
-        e.lo == e.hi and abs(e.lo) == 1.0 if i == j else e == _ZERO
+        e.lo == e.hi if i == j else e == _ZERO
         for i, r in enumerate(Q.rows) for j, e in enumerate(r)
     ):
-        raise IntervalError("cone form Q must be diag(+-1)")
+        raise IntervalError("cone form Q must be a diagonal point matrix")
     q = [Q.rows[i][i].lo for i in range(n)]
-    if Q_source is None:
-        Q_source = Q
-    if Q_source.nrows != n or any(len(r) != n for r in Q_source.rows) or not all(
-        i == j or e == _ZERO for i, r in enumerate(Q_source.rows) for j, e in enumerate(r)
-    ):
-        raise IntervalError("source form must be diagonal, of the size of Q")
     if Df.nrows != n or Df.ncols != n:
         raise IntervalError("Df must be square, of the size of Q")
     cols = list(zip(*Df.rows))
@@ -301,9 +294,11 @@ def ref_cone_matrix(Df, Q, Q_source=None):
             acc = _ZERO
             for qk, a, b in zip(q, cols[i], cols[j]):
                 t = a.sqr() if i == j else a * b
+                if abs(qk) != 1.0:
+                    t = t.scale(abs(qk))
                 acc = acc + t if qk > 0 else acc - t
             if i == j:
-                acc = acc - Q_source[i, i]
+                acc = acc - Q[i, i]
             S[i][j] = S[j][i] = acc
     return IMatrix(S)
 
@@ -316,17 +311,17 @@ def ref_leading_minor_lower_bounds(S):
             for k in range(1, n + 1)]
 
 
-def _exact_cone(D, q, p):
-    """Exact D^T diag(q) D - diag(p) for Fraction matrices and diagonals."""
+def _exact_cone(D, q):
+    """Exact D^T diag(q) D - diag(q) for a Fraction matrix and diagonal."""
     n = len(q)
-    return [[sum(q[k] * D[k][i] * D[k][j] for k in range(n)) - (p[i] if i == j else 0)
+    return [[sum(q[k] * D[k][i] * D[k][j] for k in range(n)) - (q[i] if i == j else 0)
              for j in range(n)] for i in range(n)]
 
 
-def _same_cone_results(Df, Q, Q_source=None):
+def _same_cone_results(Df, Q):
     """cone_matrix, its minors and Sylvester's verdict against the references,
     and the cone matrix's enclosure of exact members."""
-    args = (Df, Q) if Q_source is None else (Df, Q, Q_source)
+    args = (Df, Q)
     (kind, S), (ref_kind, ref_S) = (_outcome(cone_matrix, *args),
                                     _outcome(ref_cone_matrix, *args))
     assert kind == ref_kind, (args, kind, ref_kind)
@@ -335,11 +330,9 @@ def _same_cone_results(Df, Q, Q_source=None):
     assert S.rows == ref_S.rows, (args, S, ref_S)
     n = Q.nrows
     q = [Fraction(Q[k, k].lo) for k in range(n)]
-    P = Q if Q_source is None else Q_source
     for end in ("lo", "hi"):
         D = [[Fraction(getattr(e, end)) for e in r] for r in Df.rows]
-        p = [Fraction(getattr(P[k, k], end)) for k in range(n)]
-        exact = _exact_cone(D, q, p)
+        exact = _exact_cone(D, q)
         assert all(_encloses(S[i, j], exact[i][j], exact[i][j])
                    for i in range(n) for j in range(n)), (args, S, exact)
     (kind, got), (ref_kind, want) = (
@@ -356,13 +349,22 @@ small_floats = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]),
 _ZEROS = [_ZERO, Interval(-0.0, -0.0), Interval(-0.0, 0.0)]
 
 
+# Diagonal entries of Q: +-1 (terms left unscaled), the shipped form's
+# 0.390625 and -0.5625, dyadics, signed zeros, and other doubles.
+_FORM_ENTRIES = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.390625, -0.5625, 0.0, -0.0]),
+    st.builds(math.ldexp, st.sampled_from([1.0, -1.0, 3.0, -5.0]), st.integers(-8, 8)),
+    st.floats(-4.0, 4.0),
+)
+
+
 @st.composite
 def cone_inputs(draw):
-    """(Df, Q, Q_source): Q mostly diag(+-1) of Df's size, sometimes off that
-    form; Q_source None or a diagonal of Q's size, sometimes off that form."""
+    """(Df, Q): Q mostly a diagonal point matrix of Df's size, sometimes off
+    that form."""
     n = draw(st.integers(1, 3))
     zero = draw(st.sampled_from(_ZEROS))
-    q = [[Interval.point(draw(st.sampled_from([1.0, -1.0]))) if i == j else zero
+    q = [[Interval.point(draw(_FORM_ENTRIES)) if i == j else zero
           for j in range(n)] for i in range(n)]
     if draw(st.integers(0, 4)) == 0:  # one entry replaced
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -372,16 +374,7 @@ def cone_inputs(draw):
     m = n if draw(st.integers(0, 9)) else draw(st.integers(1, 3))
     entries = intervals(draw(st.sampled_from([floats, small_floats])))
     Df = IMatrix([[draw(entries) for _ in range(m)] for _ in range(m)])
-    if draw(st.booleans()):
-        return Df, IMatrix(q), None
-    p = [[draw(intervals(small_floats)) if i == j else zero for j in range(n)]
-         for i in range(n)]
-    if draw(st.integers(0, 4)) == 0:  # one entry replaced
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        p[i][j] = draw(intervals(small_floats))
-    if draw(st.integers(0, 9)) == 0:  # another size
-        p = [r[:-1] for r in p[:-1]] if n > 1 else [r + [zero] for r in p] + [[zero] * 2]
-    return Df, IMatrix(q), IMatrix(p) if p else None
+    return Df, IMatrix(q)
 
 
 @_SETTINGS
@@ -394,7 +387,13 @@ def test_cone_matrix_and_minors_match_reference(inputs):
     IMatrix.diagonal([1.0, 1.0, -1.0]),
     IMatrix.diagonal([-1.0, 1.0, -1.0]),
     IMatrix.diagonal([2.0, 1.0, -1.0]),
+    IMatrix.diagonal([1.0, 0.390625, -0.5625]),
+    IMatrix.diagonal([0.25, 0.0, -0.0]),
     IMatrix.diagonal([Interval(0.5, 1.0), 1.0, -1.0]),
+    IMatrix.diagonal([1.0, 2.0, Interval(-0.01, -0.0)]),
+    IMatrix([[Interval(1.0, 1.0), Interval(0.0, 0.0), Interval(0.0, 0.0)],
+             [Interval(0.0, 0.0), Interval(1.0, 1.0), Interval(-1e-300, 0.0)],
+             [Interval(0.0, 0.0), Interval(0.0, 0.0), Interval(-1.0, -1.0)]]),
     IMatrix.diagonal([Interval(1.0, 2.0), 1.0, -1.0]),
     IMatrix.from_floats([[1, 0.5, 0], [0, 1, 0], [0, 0, -1]]),
     IMatrix.diagonal([1.0, -1.0]),
@@ -405,40 +404,22 @@ def test_cone_matrix_q_cases_match_reference(Q):
     _same_cone_results(IMatrix.from_floats([[2, 0.5, 0], [1, -1, 0], [0, 1, 0.1]]), Q)
 
 
-@pytest.mark.parametrize("P", [
-    IMatrix.diagonal([1.0, 1.0, -1.0]),
-    IMatrix.diagonal([1.0, 0.390625, -0.5625]),
-    IMatrix.diagonal([Interval(0.5, 1.0), 2.0, Interval(-0.01, -0.0)]),
-    IMatrix.from_floats([[1, 0.5, 0], [0, 1, 0], [0, 0, -1]]),
-    IMatrix.diagonal([1.0, -1.0]),
-    IMatrix.from_floats([[1, 0, 0], [0, 1, 0]]),
-])
-def test_cone_matrix_source_form_cases_match_reference(P):
-    Q = IMatrix.diagonal([1.0, 1.0, -1.0])
-    _same_cone_results(IMatrix.identity(3), Q, P)
-    _same_cone_results(IMatrix.from_floats([[2, 0.5, 0], [1, -1, 0], [0, 1, 0.1]]), Q, P)
-
-
 def test_charted_cone_matrix_encloses_exact_forms():
     """Exact Df(x)^T Q Df(x) - Q, Q = W diag(1, 1, -1) W from the cone scales,
-    lies in the enclosure `check_map_pair` uses on each sampled box, at
-    rational points x of the box."""
+    lies in the enclosure `check_map_pair` uses on each sampled box,
+    `cone_matrix(f.jacobian(box), cone_quadratic_form())`, at rational
+    points x of the box."""
     import random
 
     from henoncert import HenonMap, IteratedMap, make_paper_hsets, paper_map_pairs
     from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION
-    from henoncert.hyperbolicity import (
-        CONE_SCALES,
-        cone_quadratic_form,
-        scale_rows,
-        scaled_cone_form,
-    )
+    from henoncert.hyperbolicity import CONE_SCALES, cone_quadratic_form
     from henoncert.linalg import subdivide_box
     from test_henon import _h4_jacobian_exact, _inverse_exact, _matmul_exact
 
     W = [Fraction(w) for w in CONE_SCALES]
     form = [w * w * sign for w, sign in zip(W, (1, 1, -1))]
-    signs, Q = cone_quadratic_form(), scaled_cone_form()
+    Q = cone_quadratic_form()
     exact_charts = {n: ([Fraction(v) for v in d["center"]],
                         [[Fraction(v) for v in r] for r in d["basis"]])
                     for n, d in (("a", HSET_A_DEFINITION), ("b", HSET_B_DEFINITION))}
@@ -450,14 +431,13 @@ def test_charted_cone_matrix_encloses_exact_forms():
         (c, M), (_, M_post) = exact_charts[label[0]], exact_charts[label[1]]
         M_inv = _inverse_exact(M_post)
         for box in rng.sample(cells, 8):
-            S = cone_matrix(scale_rows(f.jacobian(box)), signs, Q)
+            S = cone_matrix(f.jacobian(box), Q)
             for _ in range(3):
                 x = [Fraction(e.lo) + Fraction(rng.randint(0, 8), 8)
                      * (Fraction(e.hi) - Fraction(e.lo)) for e in box]
                 w = [c[r] + sum(M[r][k] * x[k] for k in range(3)) for r in range(3)]
                 Df = _matmul_exact(M_inv, _matmul_exact(_h4_jacobian_exact(w), M))
-                W_Df = [[W[i] * Df[i][j] for j in range(3)] for i in range(3)]
-                exact = _exact_cone(W_Df, (1, 1, -1), form)
+                exact = _exact_cone(Df, form)
                 assert all(_encloses(S[i, j], exact[i][j], exact[i][j])
                            for i in range(3) for j in range(3)), (label, box, x)
                 points += 1

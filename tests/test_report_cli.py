@@ -403,7 +403,7 @@ class TestCLI:
         "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
         "mixed-dims", "u-negative", "u-zero", "u-float", "s-bool", "u-string",
         "inverse-overflow", "literal-overflow", "center-string", "row-string",
-        "number-entry", "ragged-basis",
+        "number-entry", "ragged-basis", "two-dimensional", "orbit-overflow",
     ])
     def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
         a, b = make_paper_hsets()
@@ -434,6 +434,11 @@ class TestCLI:
             defs["a"]["center"][1] = 1.0225
         elif case == "ragged-basis":
             defs["a"]["basis"][2] = defs["a"]["basis"][2][:2]
+        elif case == "two-dimensional":  # a valid h-set, but the map is 3-D
+            defs = {n: {"center": ["0", "0"], "basis": [["1", "0"], ["0", "1"]],
+                        "u": 1, "s": 1} for n in "ab"}
+        elif case == "orbit-overflow":  # in range, but y^2 overflows
+            defs["a"]["center"] = ["0.81", "1e200", "0.975"]
         hpath = tmp_path / "hsets.json"
         if case != "unreadable":
             hpath.write_text("{a: 1" if case == "not-json" else json.dumps(defs))
@@ -443,8 +448,21 @@ class TestCLI:
         ])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
         if case == "literal-overflow":
             assert "'1e400'" in err
+        if case == "orbit-overflow":
+            assert str(hpath) in err
+
+    def test_overflowing_iterate_exits_2(self, tmp_path, capsys):
+        # the cone check's image of the shipped sets overflows by the 30-th
+        # iterate
+        path = tmp_path / "report.json"
+        rc = main(["verify-hyperbolicity", "--hyp-grid", "1,1,1", "--map-iterate",
+                   "30", "--workers", "1", "--report", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "shipped h-sets" in err and not path.exists()
 
     @pytest.mark.parametrize("case", [
         "not-json", "malformed", "pre-change", "missing-hset", "no-iterate",
