@@ -345,6 +345,29 @@ class TestConeScales:
             with pytest.raises(IntervalError):
                 cone_quadratic_form(u, s)
 
+    @pytest.mark.parametrize("u1_s2, q", [
+        (False, [1.0, 0.390625, -0.5625]),
+        (True, [1.0, -0.390625, -0.5625]),
+    ], ids=["shipped", "u1-s2"])
+    def test_each_cone_box_certifies_the_charts_form(self, paper_hsets, h4,
+                                                      monkeypatch, u1_s2, q):
+        # every cone matrix of the sweep and of the witnesses is taken with
+        # the form of the pair's charts, as benchmarks/micro.py times it
+        import henoncert.hyperbolicity as hyp
+
+        forms = []
+        real = hyp.cone_matrix
+
+        def recorded(Df, Q):
+            forms.append(Q)
+            return real(Df, Q)
+
+        monkeypatch.setattr(hyp, "cone_matrix", recorded)
+        hs = _hsets_u1_s2() if u1_s2 else paper_hsets
+        out = check_map_pair(paper_map_pairs(h4, hs)["ab"], (3, 3, 3))
+        assert out.failed > 0 and forms
+        assert all(Q == IMatrix.diagonal(q) for Q in forms)
+
     def test_fewer_boxes_at_the_shipped_grid(self, paper_hsets, h4, monkeypatch):
         # W = Id evaluated 426 boxes, counted as IteratedMap.orbit calls
         calls = []

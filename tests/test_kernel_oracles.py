@@ -404,6 +404,33 @@ def test_cone_matrix_q_cases_match_reference(Q):
     _same_cone_results(IMatrix.from_floats([[2, 0.5, 0], [1, -1, 0], [0, 1, 0.1]]), Q)
 
 
+_SHIPPED_FORM = IMatrix.diagonal([1.0, 0.390625, -0.5625])
+
+
+@pytest.mark.parametrize("Df, kind", [
+    # point zeros and signed zeros, scaled by 0.390625 and 0.5625
+    (IMatrix.from_floats([[0.0, 1.0, -0.0], [-0.0, 0.0, 2.0], [3.0, -0.0, 0.0]]), "ok"),
+    # entries that straddle zero, so products and squares of mixed sign
+    (IMatrix([[Interval(-1.0, 2.0), Interval(-0.5, 0.25), Interval(0.0, 1.0)],
+              [Interval(-3.0, -1.0), Interval(-2.0, 2.0), Interval(-0.0, 0.5)],
+              [Interval(0.125, 4.0), Interval(-1.0, 0.0), Interval(-0.75, 0.75)]]), "ok"),
+    # subnormal products, which the scaling must round outward
+    (IMatrix.from_floats([[5e-324, 1e-160, 1.0], [1e-160, 5e-324, 0.5],
+                          [2.0, 1e-300, 1e-170]]), "ok"),
+    # a square that overflows
+    (IMatrix.from_floats([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     EnclosureError),
+    # not the size of Q
+    (IMatrix.identity(2), IntervalError),
+    (IMatrix.from_floats([[1, 0], [0, 1], [0, 0]]), IntervalError),
+])
+def test_cone_matrix_df_cases_match_reference(Df, kind):
+    """The shipped form's scaled terms on edge-case Jacobians, and Df checks."""
+    assert _outcome(cone_matrix, Df, _SHIPPED_FORM)[0] == kind
+    _same_cone_results(Df, _SHIPPED_FORM)
+    _same_cone_results(Df, IMatrix.diagonal([1.0, 1.0, -1.0]))
+
+
 def test_charted_cone_matrix_encloses_exact_forms():
     """Exact Df(x)^T Q Df(x) - Q, Q = W diag(1, 1, -1) W from the cone scales,
     lies in the enclosure `check_map_pair` uses on each sampled box,
