@@ -11,7 +11,7 @@ the mean-value form where the natural interval image decides nothing.
 Run:  python3 demos/05_full_certification.py
 """
 
-from henoncert import make_paper_hsets, periodic_orbit_consequence
+from henoncert import periodic_orbit_consequence
 from henoncert.drivers import run_all
 from henoncert.report import symbolic_dynamics_statement
 
@@ -31,5 +31,4 @@ if report.verdict:
     print()
     print(symbolic_dynamics_statement(report))
     print()
-    a, b = make_paper_hsets()
-    print(periodic_orbit_consequence(report, "abba", {"a": a, "b": b}))
+    print(periodic_orbit_consequence(report, "abba"))

@@ -22,7 +22,6 @@ from .henon import (
 )
 from .hsets import (
     HSet,
-    LocalFace,
     load_hsets,
     make_paper_hsets,
     paper_map_pairs,
@@ -62,7 +61,6 @@ __all__ = [
     "IntervalError",
     "IteratedMap",
     "LinearMap",
-    "LocalFace",
     "ProofReport",
     "ReportError",
     "SingularMatrixError",

@@ -10,7 +10,8 @@ Subcommands:
 Exit code is 0 exactly when the requested verdict is true, 1 when it is not
 or when standard output is closed early, and 2 for bad input: a malformed
 flag (a non-finite seed among them), h-set file or proof report, a missing
-one, or h-sets whose image under the iterate overflows.
+one, h-sets whose image under the iterate overflows, or an output path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -212,7 +213,11 @@ def cmd_verify(args) -> int:
     if grids["hyp_grid"] is not None:
         _print_hyperbolicity(report)
         ok = ok and report.hyperbolicity.passed
-    report.save(args.report)
+    try:
+        report.save(args.report)
+    except OSError as e:
+        raise _BadInput(f"cannot write the report to {args.report}: "
+                        f"{type(e).__name__}: {e}")
     print(f"report written to {args.report}")
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -226,10 +231,10 @@ def cmd_periodic_orbits(args) -> int:
                 if isinstance(e, FileNotFoundError) else "")
         raise _BadInput(f"cannot use proof report {args.report}: "
                         f"{type(e).__name__}: {e}{hint}")
-    hsets = _hsets(f"proof report {args.report}", lambda: {
+    _hsets(f"proof report {args.report}", lambda: {
         name: HSet(name, d) for name, d in report.hsets.items()})
     try:
-        print(periodic_orbit_consequence(report, args.word, hsets))
+        print(periodic_orbit_consequence(report, args.word))
     except ReportError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -240,20 +245,22 @@ def cmd_attractor_sample(args) -> int:
     p = args.seed
     params = HenonParams()
     rows_written = 0
-    with open(args.out, "w") as fh:
-        fh.write("# NON-RIGOROUS SAMPLE\n")
-        fh.write("x,y,z\n")
-        try:
+    try:
+        with open(args.out, "w") as fh:
+            fh.write("# NON-RIGOROUS SAMPLE\n")
+            fh.write("x,y,z\n")
             if args.transient > 0:
                 p = eval_point_fast(p, args.transient, params)
             for _ in range(args.count):
                 p = eval_point_fast(p, 1, params)
                 fh.write(",".join(format(v, ".17g") for v in p) + "\n")
                 rows_written += 1
-        except DivergenceError as e:
-            print(f"error: {e} (partial file: {rows_written} rows)",
-                  file=sys.stderr)
-            return 1
+    except DivergenceError as e:
+        print(f"error: {e} (partial file: {rows_written} rows)", file=sys.stderr)
+        return 1
+    except OSError as e:
+        raise _BadInput(f"cannot write the sample to {args.out}: "
+                        f"{type(e).__name__}: {e}")
     print(f"wrote {rows_written} rows to {args.out}")
     return 0
 

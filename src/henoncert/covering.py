@@ -48,6 +48,12 @@ BODY_GRID = (20, 20, 20)  # shipped condition I grid
 FACE_GRID = (10, 10)  # shipped condition II grid on each exit face
 
 
+def exit_faces(u: int) -> list:
+    """The 2u exit faces of the cube, where orbits must leave: (axis, sign)
+    for local coordinate `axis` < u pinned to `sign`."""
+    return [(axis, sign) for axis in range(u) for sign in (-1.0, 1.0)]
+
+
 @dataclass
 class ConditionISummary(Record):
     checked: int = 0
@@ -90,13 +96,16 @@ class CoveringCertificate(Record):
 
     @property
     def passed(self) -> bool:
-        """Both conditions passed, on every cell of the grids they claim, and
+        """Both conditions passed, on every cell of the grids they claim, each
+        grid with one count per axis of the cube (the body) or of a face, and
         condition II on each of the source's 2u exit faces (u = len(A)) once.
         `ProofReport.covering_passed` also checks u against the source h-set."""
         ci, cii = self.condition_I, self.condition_II
         faces = [(f.get("axis"), f.get("sign")) for f in cii.faces]
-        exits = [(axis, sign) for axis in range(len(self.A)) for sign in (-1.0, 1.0)]
-        return (ci.passed and cii.passed and ci.checked == prod(self.body_grid)
+        exits = exit_faces(len(self.A))
+        return (ci.passed and cii.passed and len(self.body_grid) == UNIT.dim
+                and len(self.face_grid) == UNIT.dim - 1
+                and ci.checked == prod(self.body_grid)
                 and len(faces) == len(exits) and all(faces.count(e) == 1 for e in exits)
                 and all(f.get("checked") == prod(self.face_grid) for f in cii.faces))
 
@@ -158,10 +167,10 @@ def check_condition_II(
 ) -> ConditionIISummary:
     """Exit-face check: hull of map image and linear image clears the target.
 
-    One witness cap is shared by all exit faces.
+    Each exit face is UNIT with coordinate `axis` pinned to `sign`, swept on
+    `face_grid` over its free axes.  One witness cap is shared by all faces.
     """
-    N0 = fc.charts()[0]
-    u = N0.u
+    u = fc.charts()[0].u
 
     def exits(F):
         Ya = A @ Box(F.coords[:u])
@@ -175,18 +184,13 @@ def check_condition_II(
         }
 
     out = ConditionIISummary()
-    for face in N0.exit_faces():
-        grid = [1] * face.dim
-        for axis, m in zip(face.free_axes(), face_grid):
-            grid[axis] = m
-        counts, failures = sweep(face.extent(), grid, exits, cap - len(out.failures))
+    for axis, sign in exit_faces(u):
+        face = Box(UNIT.coords[:axis] + (Interval.point(sign),) + UNIT.coords[axis + 1:])
+        grid = (*face_grid[:axis], 1, *face_grid[axis:])
+        counts, failures = sweep(face, grid, exits, cap - len(out.failures))
         out.failed += counts["failed"]
-        out.failures += [
-            {"face_axis": face.axis, "face_sign": face.sign, **w} for w in failures
-        ]
-        out.faces.append(
-            {"axis": face.axis, "sign": face.sign, "checked": sum(counts.values())}
-        )
+        out.failures += [{"face_axis": axis, "face_sign": sign, **w} for w in failures]
+        out.faces.append({"axis": axis, "sign": sign, "checked": sum(counts.values())})
     return out
 
 

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intervals import Box, Interval, IntervalError, from_decimal, from_fraction, unchecked_box
+from .intervals import Box, IntervalError, from_decimal, from_fraction, unchecked_box
 from .linalg import (IMatrix, inverse_exact, nonzero_entries, sparse_dot,
                      unchecked_matrix)
 
@@ -134,35 +134,10 @@ class HSet:
         """Interval hull of the support in world coordinates."""
         return self.world_from_local(Box.cube(-1.0, 1.0, self.dim))
 
-    def exit_faces(self):
-        """The 2u local faces where orbits must leave: coordinate j pinned to +-1."""
-        faces = []
-        for axis in range(self.u):
-            for sign in (-1.0, 1.0):
-                faces.append(LocalFace(axis, sign, self.dim))
-        return faces
-
     def to_definition(self) -> dict:
         """The definition as given, in fresh lists: center, basis, u, s."""
         c, m, u, s = self.definition
         return {"center": list(c), "basis": [list(r) for r in m], "u": u, "s": s}
-
-
-@dataclass(frozen=True)
-class LocalFace:
-    """One exit face in local coordinates: coordinate `axis` pinned at `sign`."""
-
-    axis: int
-    sign: float
-    dim: int = 3
-
-    def extent(self) -> Box:
-        full = Interval(-1.0, 1.0)
-        pinned = Interval(self.sign, self.sign)
-        return Box([pinned if i == self.axis else full for i in range(self.dim)])
-
-    def free_axes(self):
-        return [i for i in range(self.dim) if i != self.axis]
 
 
 # The two parallelepipeds around the folded-towel attractor whose union carries

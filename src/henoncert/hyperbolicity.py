@@ -112,9 +112,10 @@ class HyperbolicityCertificate(Record):
 
     @property
     def passed(self) -> bool:
-        """Every outcome passed, and counted every cell of the grid."""
+        """Every outcome passed, and counted every cell of the grid, which has
+        one count per axis of the cube."""
         cells = prod(self.grid)
-        return bool(self.outcomes) and all(
+        return bool(self.outcomes) and len(self.grid) == UNIT.dim and all(
             o.passed and o.skipped_disjoint + o.positive_definite + o.failed == cells
             for o in self.outcomes)
 

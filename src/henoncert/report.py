@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .covering import CoveringCertificate
-from .hsets import COVERING_CHAIN
+from .hsets import COVERING_CHAIN, HSet
 from .hyperbolicity import HyperbolicityCertificate
 from .sweep import Record
 
@@ -119,12 +119,13 @@ def symbolic_dynamics_statement(report: ProofReport) -> str:
     )
 
 
-def periodic_orbit_consequence(report: ProofReport, word: str, hsets: dict) -> str:
+def periodic_orbit_consequence(report: ProofReport, word: str) -> str:
     """Existence statement for the periodic orbit coded by a cyclic word.
 
     Pure logic over the verified covering graph: every length-n cyclic word
     over {a, b} names a chain of passed coverings, hence a period-n point.
-    Refuses unless all four coverings passed.
+    Refuses unless all four coverings passed.  The supports it states are
+    those of the h-sets the report echoes, the sets it certified.
     """
     if not word or any(ch not in ("a", "b") for ch in word):
         raise ReportError(f"word must be non-empty over {{a, b}}, got {word!r}")
@@ -149,7 +150,7 @@ def periodic_orbit_consequence(report: ProofReport, word: str, hsets: dict) -> s
     )
     lines.append("World-coordinate supports (interval hulls):")
     for name in sorted(set(word)):
-        hull = hsets[name].support()
+        hull = HSet(name, report.hsets[name]).support()
         coords = " x ".join(f"[{c.lo:.6f}, {c.hi:.6f}]" for c in hull)
         lines.append(f"  |{name}| subset of {coords}")
     return "\n".join(lines)

@@ -1,3 +1,6 @@
+from collections import Counter
+from math import prod
+
 import pytest
 
 from henoncert import (
@@ -12,7 +15,8 @@ from henoncert import (
     paper_map_pairs,
     verify_covering,
 )
-from henoncert.covering import _body_accepts, mean_value_image
+from henoncert import covering
+from henoncert.covering import _body_accepts, exit_faces, mean_value_image
 from henoncert.drivers import run_all
 from henoncert.hsets import HSet
 from henoncert.intervals import EnclosureError, Interval, IntervalError
@@ -110,6 +114,57 @@ class TestConditionII:
         assert out.failed == len(full.failures) == 4 * 9
         assert out.failures == full.failures[:10]
         assert out.faces == full.faces
+
+
+class TestExitFaces:
+    """`exit_faces(u)` and the face boxes and grids condition II sweeps."""
+
+    @pytest.fixture()
+    def swept(self, monkeypatch):
+        """(condition II's summary, the (box, grid) of each sweep it ran) on
+        the face grid (3, 5); the sweep is stubbed to accept every cell."""
+        calls = []
+
+        def record(X, grid, predicate, cap):
+            calls.append((X, tuple(grid)))
+            return Counter(exits=prod(grid)), []
+
+        monkeypatch.setattr(covering, "sweep", record)
+        A = IMatrix.from_floats([[1.0, 0.0], [0.0, 1.0]])
+        out = check_condition_II(on_unit_chart(LinearMap.identity()), A, (3, 5), CAP)
+        return out, calls
+
+    def test_four_faces(self, swept):
+        assert exit_faces(2) == [(0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0)]
+        assert exit_faces(1) == exit_faces(2)[:2]
+        out, calls = swept
+        assert [(f["axis"], f["sign"]) for f in out.faces] == exit_faces(2)
+        assert [f["checked"] for f in out.faces] == [15] * 4
+        assert len(calls) == 4
+
+    def test_one_degenerate_coordinate(self, swept):
+        _, calls = swept
+        for (axis, sign), (X, grid) in zip(exit_faces(2), calls):
+            degen = [i for i, c in enumerate(X) if c.lo == c.hi]
+            assert degen == [axis]
+            assert X[axis] == Interval(sign, sign)
+            for i in range(X.dim):
+                if i != axis:
+                    assert X[i] == Interval(-1, 1)
+            # the face grid, with one cell across the pinned coordinate
+            assert grid == {0: (1, 3, 5), 1: (3, 1, 5)}[axis]
+
+    def test_unstable_projections_cover_square_boundary(self, swept, rng):
+        exts = [X for X, _ in swept[1]]
+        for _ in range(200):
+            # random point on the boundary of [-1,1]^2
+            t = rng.uniform(-1, 1)
+            side = rng.integers(4)
+            pt = [(1.0, t), (-1.0, t), (t, 1.0), (t, -1.0)][side]
+            assert any(
+                e[0].contains_point(pt[0]) and e[1].contains_point(pt[1])
+                for e in exts
+            )
 
 
 class TestVerifyCovering:

@@ -147,40 +147,6 @@ class TestChartMaps:
             assert a.local_from_world(a.world_from_local(X)).contains_box(X)
 
 
-class TestExitFaces:
-    def test_four_faces(self):
-        a, _ = make_paper_hsets()
-        faces = a.exit_faces()
-        assert [(f.axis, f.sign) for f in faces] == [
-            (0, -1.0),
-            (0, 1.0),
-            (1, -1.0),
-            (1, 1.0),
-        ]
-
-    def test_one_degenerate_coordinate(self):
-        a, _ = make_paper_hsets()
-        for f in a.exit_faces():
-            ext = f.extent()
-            degen = [i for i, c in enumerate(ext) if c.lo == c.hi]
-            assert degen == [f.axis]
-            for i in f.free_axes():
-                assert ext[i] == Interval(-1, 1)
-
-    def test_unstable_projections_cover_square_boundary(self, rng):
-        a, _ = make_paper_hsets()
-        exts = [f.extent() for f in a.exit_faces()]
-        for _ in range(200):
-            # random point on the boundary of [-1,1]^2
-            t = rng.uniform(-1, 1)
-            side = rng.integers(4)
-            pt = [(1.0, t), (-1.0, t), (t, 1.0), (t, -1.0)][side]
-            assert any(
-                e[0].contains_point(pt[0]) and e[1].contains_point(pt[1])
-                for e in exts
-            )
-
-
 class TestConstructionErrors:
     def test_singular_basis_aborts(self):
         for basis in ([["1", "0", "0"], ["2", "0", "0"], ["0", "0", "1"]],

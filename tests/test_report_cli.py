@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,29 @@ def _toy_report(passed=True, cone=False):
             grid=(2, 2, 2), outcomes=[check_map_pair(fc, (2, 2, 2)) for fc in pairs],
             wall_time=0.0) if cone else None,
     )
+
+
+def _regrid(kind, grid):
+    """An edit of a report dict: one certificate claims `grid` as its body,
+    face or cone grid, with every cell of it counted as accepted."""
+    cells = prod(grid)
+
+    def edit(d):
+        if kind == "cone":
+            d["hyperbolicity"]["grid"] = grid
+            for o in d["hyperbolicity"]["outcomes"]:
+                o.update(skipped_disjoint=cells, positive_definite=0, failed=0)
+            return
+        c = d["covering"][1]
+        c[f"{kind}_grid"] = grid
+        if kind == "body":
+            c["condition_I"].update(checked=cells, outside_unstable=cells,
+                                    inside_stable=0)
+        else:
+            for f in c["condition_II"]["faces"]:
+                f["checked"] = cells
+
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +143,11 @@ class TestProofReport:
         # the cells by name must add up to the cells checked
         lambda d: d["covering"][1]["condition_I"].update(outside_unstable=0,
                                                          inside_stable=0),
+        # each grid needs one count per axis, although these counts cover it
+        *(pytest.param(_regrid(kind, grid), id=f"{kind}-{len(grid)}-axes")
+          for kind, grid in (("body", []), ("body", [27]), ("body", [3, 3, 3, 1]),
+                             ("face", []), ("face", [4]), ("face", [2, 2, 1]),
+                             ("cone", []), ("cone", [8]), ("cone", [2, 2, 2, 1, 1]))),
     ])
     def test_counts_must_cover_the_claimed_grid(self, edit):
         d = _toy_report(cone=True).to_dict()
@@ -127,6 +156,20 @@ class TestProofReport:
         certs = [*rep.covering, rep.hyperbolicity]
         assert [c.passed for c in certs].count(False) == 1
         assert not rep.verdict
+
+    def test_shipped_report_on_axisless_grids_proves_nothing(self, symbolic_report,
+                                                            tmp_path, capsys):
+        d = json.loads(json.dumps(symbolic_report))
+        for c in d["covering"]:
+            c.update(body_grid=[], face_grid=[])
+            c["condition_I"].update(checked=1, outside_unstable=1, inside_stable=0)
+            for f in c["condition_II"]["faces"]:
+                f["checked"] = 1
+        assert not ProofReport.from_dict(d).covering_passed
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(d))
+        assert main(["periodic-orbits", "ab", "--report", str(path)]) == 1
+        assert "refusing" in capsys.readouterr().err
 
     def test_malformed_report(self):
         with pytest.raises(ReportError):
@@ -234,17 +277,26 @@ class TestConsequences:
             symbolic_dynamics_statement(_toy_report(passed=False))
 
     @pytest.mark.parametrize("word", ["a", "ab", "abba"])
-    def test_periodic_words(self, word, paper_hsets):
-        text = periodic_orbit_consequence(_toy_report(), word, paper_hsets)
+    def test_periodic_words(self, word):
+        text = periodic_orbit_consequence(_toy_report(), word)
         assert f"F^{len(word)}(x) = x" in text
 
-    def test_refuses_on_failed_report(self, paper_hsets):
+    def test_refuses_on_failed_report(self):
         with pytest.raises(ReportError):
-            periodic_orbit_consequence(_toy_report(passed=False), "ab", paper_hsets)
+            periodic_orbit_consequence(_toy_report(passed=False), "ab")
 
-    def test_rejects_bad_symbols(self, paper_hsets):
+    def test_rejects_bad_symbols(self):
         with pytest.raises(ReportError):
-            periodic_orbit_consequence(_toy_report(), "abc", paper_hsets)
+            periodic_orbit_consequence(_toy_report(), "abc")
+
+    def test_supports_are_those_of_the_echo(self):
+        # the stated hulls are those of the sets the report certified: a
+        # moved to (5, 5, 5) in the echo, b as shipped
+        d = _toy_report().to_dict()
+        d["hsets"]["a"]["center"] = ["5", "5", "5"]
+        text = periodic_orbit_consequence(ProofReport.from_dict(d), "ab")
+        assert "  |a| subset of [4.780000, 5.220000] x " in text
+        assert "  |b| subset of [0.590000, 1.030000] x " in text
 
 
 class TestCLI:
@@ -453,6 +505,17 @@ class TestCLI:
             assert "'1e400'" in err
         if case == "orbit-overflow":
             assert str(hpath) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-hyperbolicity", "--workers", "1", "--hyp-grid", "1,1,1", "--report"],
+        ["attractor-sample", "--count", "3", "--out"],
+    ], ids=["report", "sample"])
+    def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out"
+        rc = main(argv + [str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and not path.parent.exists()
 
     def test_overflowing_iterate_exits_2(self, tmp_path, capsys):
         # the cone check's image of the shipped sets overflows by the 30-th
