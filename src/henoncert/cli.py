@@ -24,7 +24,7 @@ import sys
 from . import __version__, drivers
 from .covering import BODY_GRID, FACE_GRID
 from .henon import DivergenceError, HenonParams, eval_point_fast
-from .hsets import HSet, load_hsets
+from .hsets import load_hsets
 from .hyperbolicity import HYP_GRID
 from .intervals import EnclosureError
 from .report import (
@@ -146,26 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _hsets(source: str, build):
-    """The h-sets `build()` returns, if each is 3-dimensional, as the map is,
-    and they define `a` and `b` with one (u, s)."""
-    try:
-        hs = build()
-    except _INPUT_ERRORS as e:
-        raise _BadInput(f"cannot use h-sets from {source}: {type(e).__name__}: {e}")
-    dims = {name: h.dim for name, h in hs.items() if h.dim != 3}
-    if dims:
-        raise _BadInput(f"h-sets from {source} must be 3-dimensional: {dims}")
-    missing = {"a", "b"} - set(hs)
-    if missing:
-        raise _BadInput(f"h-sets from {source} must define sets named: "
-                        f"{sorted(missing)}")
-    dims = {name: (hs[name].u, hs[name].s) for name in "ab"}
-    if dims["a"] != dims["b"]:
-        raise _BadInput(f"h-sets from {source} differ in (u, s): {dims}")
-    return hs
-
-
 def _print_covering(report: ProofReport):
     for c in report.covering:
         status = "PASS" if c.passed else "FAIL"
@@ -193,10 +173,15 @@ def _print_hyperbolicity(report: ProofReport):
 
 def cmd_verify(args) -> int:
     """verify-symbolic, verify-hyperbolicity and verify-all."""
-    hsets, source = None, "the shipped h-sets"
-    if args.hsets is not None:
-        hsets = _hsets(args.hsets, lambda: load_hsets(args.hsets))
-        source = f"h-sets from {args.hsets}"
+    folder = os.path.dirname(args.report) or os.curdir  # save checks again
+    if os.path.isdir(args.report) or not os.access(folder, os.W_OK | os.X_OK):
+        raise _BadInput(f"cannot write the report to {args.report}: not a "
+                        "file in an existing, writable directory")
+    try:
+        hsets = None if args.hsets is None else load_hsets(args.hsets)
+    except _INPUT_ERRORS as e:
+        raise _BadInput(f"cannot use h-sets from {args.hsets}: "
+                        f"{type(e).__name__}: {e}")
     grids = {g: getattr(args, g, None) for g in _GRIDS}  # None: not run
     try:
         report = drivers.run_all(
@@ -204,6 +189,7 @@ def cmd_verify(args) -> int:
             max_failures_reported=args.max_failures,
         )
     except EnclosureError as e:
+        source = f"h-sets from {args.hsets}" if hsets else "the shipped h-sets"
         raise _BadInput(f"cannot enclose the image of {source} under iterate "
                         f"{args.map_iterate}: {e}")
     ok = True
@@ -231,8 +217,6 @@ def cmd_periodic_orbits(args) -> int:
                 if isinstance(e, FileNotFoundError) else "")
         raise _BadInput(f"cannot use proof report {args.report}: "
                         f"{type(e).__name__}: {e}{hint}")
-    _hsets(f"proof report {args.report}", lambda: {
-        name: HSet(name, d) for name, d in report.hsets.items()})
     try:
         print(periodic_orbit_consequence(report, args.word))
     except ReportError as e:

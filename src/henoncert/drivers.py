@@ -15,7 +15,7 @@ from concurrent import futures
 
 from .covering import BODY_GRID, FACE_GRID, verify_covering
 from .henon import HenonMap, IteratedMap
-from .hsets import make_paper_hsets, paper_map_pairs
+from .hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, paper_map_pairs
 from .hyperbolicity import HYP_GRID, HyperbolicityCertificate, check_map_pair
 from .report import ProofReport
 from .sweep import MAX_WITNESSES
@@ -46,17 +46,15 @@ def run_all(
     `body_grid` is None, the cone condition over the four chart-conjugated
     maps unless `hyp_grid` is None."""
     t0 = time.monotonic()
-    if hsets is None:
-        a, b = make_paper_hsets()
-        hsets = {"a": a, "b": b}
     f = default_map(iterate)
-    pairs = paper_map_pairs(f, hsets).values()
     params = f.base.params
     report = ProofReport(
         map={"a": params.a_decimal, "b": params.b_decimal, "iterate": iterate},
-        hsets={name: h.to_definition() for name, h in hsets.items()},
+        hsets=({"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION} if hsets is None
+               else {name: h.to_definition() for name, h in hsets.items()}),
         workers=workers,
     )
+    pairs = paper_map_pairs(f, report.sets).values()
     if body_grid is not None:
         tasks = [(fc, body_grid, face_grid, max_failures_reported) for fc in pairs]
         report.covering = fan_out(verify_covering, tasks, workers)

@@ -182,11 +182,28 @@ def paper_map_pairs(f, hsets: dict) -> dict:
     return {i + j: f.conjugated(hsets[i], hsets[j]) for i, j in COVERING_CHAIN}
 
 
+def hset_family(definitions) -> dict:
+    """{name: HSet} from a JSON object of definitions, each 3-dimensional, as
+    the map is, with `a` and `b` of one (u, s); else IntervalError."""
+    if not isinstance(definitions, dict):
+        raise IntervalError(f"h-sets must be a JSON object, got {definitions!r}")
+    hs = {name: HSet(name, d) for name, d in definitions.items()}
+    dims = {name: h.dim for name, h in hs.items() if h.dim != 3}
+    if dims:
+        raise IntervalError(f"h-sets must be 3-dimensional: {dims}")
+    missing = {"a", "b"} - set(hs)
+    if missing:
+        raise IntervalError(f"h-sets must define sets named: {sorted(missing)}")
+    dims = {name: (hs[name].u, hs[name].s) for name in "ab"}
+    if dims["a"] != dims["b"]:
+        raise IntervalError(f"h-sets differ in (u, s): {dims}")
+    return hs
+
+
 def load_hsets(path) -> dict:
-    """Load named h-set definitions (decimal strings only) from a JSON file."""
+    """The h-set family a JSON file defines (decimal strings only)."""
     with open(path) as fh:
-        raw = json.load(fh)
-    return {name: HSet(name, d) for name, d in raw.items()}
+        return hset_family(json.load(fh))
 
 
 def save_hsets(path, hsets: dict) -> None:

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .covering import CoveringCertificate
-from .hsets import COVERING_CHAIN, HSet
+from .hsets import COVERING_CHAIN, hset_family
 from .hyperbolicity import HyperbolicityCertificate
+from .intervals import IntervalError, from_decimal
+from .linalg import SingularMatrixError
 from .sweep import Record
 
 
@@ -28,21 +30,13 @@ def _each_pair_once(pairs) -> bool:
     return sorted(pairs) == sorted(COVERING_CHAIN)
 
 
-def _u_by_u(A, definition) -> bool:
-    """True when A is a u x u list of rows, u the exit dimension in the
-    report's echo of the source h-set's `definition`."""
-    u = definition.get("u") if isinstance(definition, dict) else None
-    return (type(u) is int and len(A) == u
-            and all(isinstance(r, list) and len(r) == u for r in A))
-
-
 @dataclass(kw_only=True)
 class ProofReport(Record):
     """The whole proof: its JSON keys are the field names, its format the
     field type hints (see `sweep.Record`), and it writes the derived
-    `covering_passed` and `verdict` last.  Loading also checks that `map`
-    has decimal strings `a`, `b` and an integer `iterate >= 1`, and that
-    `workers >= 1`; a missing `hyperbolicity` loads as null.
+    `covering_passed` and `verdict` last.  Loading checks `map` (decimal
+    strings `a`, `b`, an integer `iterate >= 1`) and `workers >= 1`, and
+    builds the echoed h-sets as `sets`; a missing `hyperbolicity` is null.
     """
 
     artifact_version: str = __version__
@@ -65,6 +59,11 @@ class ProofReport(Record):
         if self.workers < 1:
             raise ReportError("malformed proof report: workers must be "
                               f">= 1, got {self.workers!r}")
+        try:
+            from_decimal(a), from_decimal(b)
+            self.sets = hset_family(self.hsets)
+        except (IntervalError, SingularMatrixError) as e:
+            raise ReportError(f"malformed proof report: {e}") from e
 
     @property
     def covering_passed(self) -> bool:
@@ -72,7 +71,8 @@ class ProofReport(Record):
         its A u x u, u from the echoed source h-set: a certificate takes u
         from A, so this is what ties its exit faces to the source's."""
         return (_each_pair_once((c.source, c.target) for c in self.covering)
-                and all(c.passed and _u_by_u(c.A, self.hsets.get(c.source))
+                and all(c.passed and len(c.A) == self.sets[c.source].u
+                        and all(type(r) is list and len(r) == len(c.A) for r in c.A)
                         for c in self.covering))
 
     @property
@@ -150,7 +150,7 @@ def periodic_orbit_consequence(report: ProofReport, word: str) -> str:
     )
     lines.append("World-coordinate supports (interval hulls):")
     for name in sorted(set(word)):
-        hull = HSet(name, report.hsets[name]).support()
+        hull = report.sets[name].support()
         coords = " x ".join(f"[{c.lo:.6f}, {c.hi:.6f}]" for c in hull)
         lines.append(f"  |{name}| subset of {coords}")
     return "\n".join(lines)

@@ -6,8 +6,8 @@ import pytest
 
 from henoncert import (Box, HSet, IMatrix, Interval, SingularMatrixError,
                        make_paper_hsets)
-from henoncert.hsets import (HSET_A_DEFINITION, HSET_B_DEFINITION, load_hsets,
-                             save_hsets)
+from henoncert.hsets import (HSET_A_DEFINITION, HSET_B_DEFINITION, hset_family,
+                             load_hsets, save_hsets)
 from henoncert.intervals import IntervalError
 from test_henon import _dyadic_point, _inverse_exact
 from test_hyperbolicity import _width
@@ -217,6 +217,30 @@ class TestConfigFile:
             assert back.center == orig.center
             assert back.basis == orig.basis
             assert (back.u, back.s) == (orig.u, orig.s)
+
+
+class TestHSetFamily:
+    """`hset_family` is the one check on the sets a proof may run on."""
+
+    def test_shipped_pair(self, paper_hsets):
+        assert hset_family(DEFINITIONS) == paper_hsets
+
+    @pytest.mark.parametrize("definitions, why", [
+        pytest.param([HSET_A_DEFINITION, HSET_B_DEFINITION], "JSON object",
+                     id="not-an-object"),
+        pytest.param({**DEFINITIONS, "c": {"center": ["0", "0"],
+                                           "basis": [["1", "0"], ["0", "1"]],
+                                           "u": 1, "s": 1}},
+                     "must be 3-dimensional: {'c': 2}", id="two-dimensional"),
+        pytest.param({"a": HSET_A_DEFINITION}, "must define sets named: ['b']",
+                     id="missing-b"),
+        pytest.param({**DEFINITIONS, "b": {**HSET_B_DEFINITION, "u": 1, "s": 2}},
+                     "differ in (u, s): {'a': (2, 1), 'b': (1, 2)}", id="mixed-u-s"),
+    ])
+    def test_rejects(self, definitions, why):
+        with pytest.raises(IntervalError) as e:
+            hset_family(definitions)
+        assert why in str(e.value)
 
 
 class TestOneConstructor:

@@ -219,6 +219,23 @@ class TestProofReport:
         assert main(["periodic-orbits", "ab", "--report", str(path)]) == 1
         assert "refusing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h["a"].update(center=["x", "1", "1"]), id="center-x"),
+        pytest.param(lambda h: h["a"].update(basis=[
+            ["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]]), id="singular-basis"),
+        pytest.param(lambda h: h.update(c={
+            "center": ["0", "0"], "basis": [["1", "0"], ["0", "1"]], "u": 1, "s": 1}),
+            id="two-dimensional"),
+        pytest.param(lambda h: h.pop("b"), id="missing-b"),
+    ])
+    def test_echo_must_define_the_hsets(self, edit, symbolic_report):
+        # the echo names the sets the proof ran on, so one that defines no
+        # valid pair a, b does not load, and no consequence is stated from it
+        d = json.loads(json.dumps(symbolic_report))
+        edit(d["hsets"])
+        with pytest.raises(ReportError, match="malformed proof report"):
+            periodic_orbit_consequence(ProofReport.from_dict(d), "ab")
+
     def test_null_or_missing_cone_check_loads_as_absent(self):
         d = _toy_report().to_dict()
         assert d["hyperbolicity"] is None
@@ -517,6 +534,15 @@ class TestCLI:
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and not path.parent.exists()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_report_is_refused_before_the_proof(self, where, tmp_path,
+                                                           capsys):
+        path = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+        rc = main(["verify-hyperbolicity", "--workers", "1", "--report", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
     def test_overflowing_iterate_exits_2(self, tmp_path, capsys):
         # the cone check's image of the shipped sets overflows by the 30-th
         # iterate
@@ -529,11 +555,13 @@ class TestCLI:
 
     @pytest.mark.parametrize("case", [
         "not-json", "malformed", "pre-change", "missing-hset", "no-iterate",
-        "iterate-not-int",
+        "iterate-not-int", "map-not-decimal",
     ])
     def test_bad_report_exits_2(self, case, tmp_path, capsys):
         d = _toy_report().to_dict()
-        if case == "missing-hset":
+        if case == "map-not-decimal":
+            d["map"]["a"] = "x"
+        elif case == "missing-hset":
             del d["hsets"]["b"]
         elif case == "no-iterate":
             del d["map"]["iterate"]
@@ -636,6 +664,25 @@ class TestTracerContract:
 
 
 class TestOneDriver:
+    @pytest.mark.parametrize("command, grids", [
+        ("verify-symbolic", ["--body-grid", "1,1,1", "--face-grid", "1,1"]),
+        ("verify-hyperbolicity", ["--hyp-grid", "1,1,1"]),
+        ("verify-all", ["--body-grid", "1,1,1", "--face-grid", "1,1",
+                        "--hyp-grid", "1,1,1"]),
+    ])
+    def test_shipped_run_builds_each_hset_once(self, command, grids, tmp_path,
+                                                monkeypatch):
+        built = []
+        init = HSet.__init__
+
+        def counting_init(self, name, definition):
+            built.append(name)
+            init(self, name, definition)
+
+        monkeypatch.setattr(HSet, "__init__", counting_init)
+        main([command, *grids, "--workers", "1", "--report", str(tmp_path / "r.json")])
+        assert built == ["a", "b"]
+
     def test_wrappers_return_parts_of_the_report(self):
         grid = (3, 3, 3)
         sym = run_all(body_grid=grid, face_grid=(2, 2), hyp_grid=None)
