@@ -15,7 +15,6 @@ from .linalg import (
 from .henon import (
     DivergenceError,
     HenonMap,
-    HenonParams,
     IteratedMap,
     LinearMap,
     eval_point_fast,
@@ -54,7 +53,6 @@ __all__ = [
     "EnclosureError",
     "HSet",
     "HenonMap",
-    "HenonParams",
     "HyperbolicityCertificate",
     "IMatrix",
     "Interval",

@@ -23,7 +23,7 @@ import sys
 
 from . import __version__, drivers
 from .covering import BODY_GRID, FACE_GRID
-from .henon import DivergenceError, HenonParams, eval_point_fast
+from .henon import DivergenceError, eval_point_fast
 from .hsets import load_hsets
 from .hyperbolicity import HYP_GRID
 from .intervals import EnclosureError
@@ -227,16 +227,15 @@ def cmd_periodic_orbits(args) -> int:
 
 def cmd_attractor_sample(args) -> int:
     p = args.seed
-    params = HenonParams()
     rows_written = 0
     try:
         with open(args.out, "w") as fh:
             fh.write("# NON-RIGOROUS SAMPLE\n")
             fh.write("x,y,z\n")
             if args.transient > 0:
-                p = eval_point_fast(p, args.transient, params)
+                p = eval_point_fast(p, args.transient)
             for _ in range(args.count):
-                p = eval_point_fast(p, 1, params)
+                p = eval_point_fast(p, 1)
                 fh.write(",".join(format(v, ".17g") for v in p) + "\n")
                 rows_written += 1
     except DivergenceError as e:

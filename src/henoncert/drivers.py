@@ -1,20 +1,22 @@
 """The one certification driver shared by the CLI and the test suite.
 
-`run_all` builds every proof report from the `iterate`-th iterate of
-`HenonParams()` and the h-sets (the shipped `a` and `b` unless given); a grid
-of None leaves its theorem out.  It is the one loop over the four chart
-pairs: `verify_covering` and `check_map_pair` each take one chart-conjugated
-map, and `fan_out` spreads the calls over `workers` processes.  Results come
-back in the fixed order of the pairs, keeping reports deterministic.
+`run_all` builds every proof report, echoing the paper's map at `iterate` and
+the h-sets (fresh copies of the shipped `a` and `b` unless given), and runs on
+the map and sets the report builds from its echo; a grid of None leaves its
+theorem out.  It is the one loop over the four chart pairs: `verify_covering`
+and `check_map_pair` each take one chart-conjugated map, and `fan_out` spreads
+the calls over `workers` processes.  Results come back in the fixed order of
+the pairs, keeping reports deterministic.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent import futures
+from copy import deepcopy
 
 from .covering import BODY_GRID, FACE_GRID, verify_covering
-from .henon import HenonMap, IteratedMap
+from .henon import PAPER_MAP, HenonMap, IteratedMap
 from .hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, paper_map_pairs
 from .hyperbolicity import HYP_GRID, HyperbolicityCertificate, check_map_pair
 from .report import ProofReport
@@ -46,15 +48,13 @@ def run_all(
     `body_grid` is None, the cone condition over the four chart-conjugated
     maps unless `hyp_grid` is None."""
     t0 = time.monotonic()
-    f = default_map(iterate)
-    params = f.base.params
     report = ProofReport(
-        map={"a": params.a_decimal, "b": params.b_decimal, "iterate": iterate},
-        hsets=({"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION} if hsets is None
+        map={"a": PAPER_MAP.a_decimal, "b": PAPER_MAP.b_decimal, "iterate": iterate},
+        hsets=(deepcopy({"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}) if hsets is None
                else {name: h.to_definition() for name, h in hsets.items()}),
         workers=workers,
     )
-    pairs = paper_map_pairs(f, report.sets).values()
+    pairs = paper_map_pairs(report.f, report.sets).values()
     if body_grid is not None:
         tasks = [(fc, body_grid, face_grid, max_failures_reported) for fc in pairs]
         report.covering = fan_out(verify_covering, tasks, workers)

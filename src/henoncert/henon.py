@@ -14,6 +14,7 @@ Jacobian more tightly than the one taken from the source chart's basis M_pre.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .intervals import Box, Interval, IntervalError, from_decimal, unchecked_box
 from .linalg import IMatrix, unchecked_matrix
@@ -26,45 +27,35 @@ class DivergenceError(ArithmeticError):
     """A floating-point orbit left the representable range."""
 
 
-class HenonParams:
-    """Map coefficients, ingested as decimal strings.
+class HenonMap:
+    """One application of H, built from its coefficients as decimal strings.
 
-    `a` and `b` are enclosing intervals (width at most one ulp); `a_float`
-    and `b_float` are the nearest doubles, used only by the non-rigorous
-    point sampler.
+    It keeps them as `a_decimal` and `b_decimal`; `a` and `b` are their
+    enclosures (width at most one ulp), and `a_float` and `b_float` the
+    nearest doubles, used only by the non-rigorous point sampler.  IntervalError
+    names a coefficient that is not a decimal string (`map.a: ...`).
     """
 
     def __init__(self, a: str = "1.76", b: str = "0.1"):
-        self.a_decimal = a
-        self.b_decimal = b
-        self.a = from_decimal(a)
-        self.b = from_decimal(b)
-        self.a_float = float(a)
-        self.b_float = float(b)
+        self.a_decimal, self.b_decimal = a, b
+        for name, literal in (("a", a), ("b", b)):
+            try:  # a float would be taken at its binary value, not as a decimal
+                if type(literal) is not str:
+                    raise IntervalError(f"expected a decimal string, got {literal!r}")
+                setattr(self, name, from_decimal(literal))
+            except IntervalError as e:
+                raise IntervalError(f"map.{name}: {e}") from e
+        self.a_float, self.b_float = float(Fraction(a)), float(Fraction(b))
+        self._mb = -self.b  # the -b entry of Dh, negated once per map
 
     def __repr__(self):
-        return f"HenonParams(a={self.a_decimal!r}, b={self.b_decimal!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HenonParams)
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-
-class HenonMap:
-    """One application of H: interval image and interval Jacobian."""
-
-    def __init__(self, params: HenonParams | None = None):
-        self.params = params or HenonParams()
-        self._mb = -self.params.b  # the -b entry of Dh, negated once per map
+        return f"HenonMap(a={self.a_decimal!r}, b={self.b_decimal!r})"
 
     def eval_box(self, X: Box) -> Box:
         if X.dim != 3:
             raise IntervalError("Henon map acts on 3-dimensional boxes")
         x, y, z = X.coords
-        return unchecked_box((self.params.a - y.sqr() - self.params.b * z, x, y))
+        return unchecked_box((self.a - y.sqr() - self.b * z, x, y))
 
     def jacobian_box(self, X: Box) -> IMatrix:
         if X.dim != 3:
@@ -123,6 +114,9 @@ class HenonMap:
             else:
                 rows.append((q, m2y * p + r, mb * p))
         return unchecked_matrix(tuple(rows))
+
+
+PAPER_MAP = HenonMap()  # the paper's a and b, built once: the sampler's default
 
 
 class LinearMap:
@@ -250,14 +244,13 @@ class IteratedMap:
         return J
 
 
-def eval_point_fast(p, k: int, params: HenonParams | None = None):
-    """Plain float iteration of H, k steps.  NON-RIGOROUS: no enclosure.
+def eval_point_fast(p, k: int, h: HenonMap | None = None):
+    """k plain float steps of `h`, by default the paper's map.  NON-RIGOROUS.
 
     Raises DivergenceError when the orbit overflows.
     """
-    params = params or HenonParams()
-    a = params.a_float
-    b = params.b_float
+    h = PAPER_MAP if h is None else h
+    a, b = h.a_float, h.b_float
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     for _ in range(k):
         x, y, z = a - y * y - b * z, x, y

@@ -39,8 +39,9 @@ class HSet:
     """An h-set and its definition; the derived fields are not compared.
 
     Raises IntervalError for a definition that is not of the shape above or
-    whose decimals are out of double range (the entries of M^-1 among them),
-    and SingularMatrixError for a singular basis.
+    whose decimals do not parse or are out of double range, naming the set
+    and the field (`h-set 'a': center[0]: ...`), or whose M^-1 has entries
+    out of double range, and SingularMatrixError for a singular basis.
     """
 
     name: str
@@ -58,6 +59,12 @@ class HSet:
     def __init__(self, name: str, definition: dict):
         def bad(why):
             return IntervalError(f"h-set {name!r}: {why}")
+
+        def decimal(where, d):
+            try:
+                return from_decimal(d)
+            except IntervalError as e:
+                raise bad(f"{where}: {e}") from e
 
         if not isinstance(definition, dict):
             raise bad(f"expected an object, got {definition!r}")
@@ -77,7 +84,9 @@ class HSet:
             raise bad(f"u and s must be integers, got {u!r}, {s!r}")
         if u < 1 or s < 0 or u + s != n:
             raise bad(f"need u >= 1, s >= 0 and u+s = {n}, got u={u}, s={s}")
-        basis = IMatrix([[from_decimal(d) for d in r] for r in m])
+        center = Box([decimal(f"center[{i}]", d) for i, d in enumerate(c)])
+        basis = IMatrix([[decimal(f"basis[{i}][{j}]", d) for j, d in enumerate(r)]
+                         for i, r in enumerate(m)])
         exact = inverse_exact([[Fraction(d) for d in r] for r in m])  # parsed above
         basis_inv = IMatrix([[from_fraction(q) for q in r] for r in exact])
         if not (basis @ basis_inv).contains(IMatrix.identity(n)):
@@ -85,7 +94,7 @@ class HSet:
         state = {
             "name": name,
             "definition": (tuple(c), tuple(map(tuple, m)), u, s),
-            "center": Box([from_decimal(d) for d in c]),
+            "center": center,
             "basis": basis, "basis_inv": basis_inv, "u": u, "s": s,
             "_rows": nonzero_entries(basis.rows),
             "_cols": nonzero_entries(zip(*basis.rows)),

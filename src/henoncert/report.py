@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .covering import CoveringCertificate
+from .henon import HenonMap, IteratedMap
 from .hsets import COVERING_CHAIN, hset_family
 from .hyperbolicity import HyperbolicityCertificate
-from .intervals import IntervalError, from_decimal
+from .intervals import IntervalError
 from .linalg import SingularMatrixError
 from .sweep import Record
 
@@ -34,9 +35,10 @@ def _each_pair_once(pairs) -> bool:
 class ProofReport(Record):
     """The whole proof: its JSON keys are the field names, its format the
     field type hints (see `sweep.Record`), and it writes the derived
-    `covering_passed` and `verdict` last.  Loading checks `map` (decimal
-    strings `a`, `b`, an integer `iterate >= 1`) and `workers >= 1`, and
-    builds the echoed h-sets as `sets`; a missing `hyperbolicity` is null.
+    `covering_passed` and `verdict` last.  Building or loading one checks `map`
+    (decimal strings `a`, `b`, an integer `iterate >= 1`) and `workers >= 1`,
+    and builds what it echoes: the map as `f`, the `iterate`-th iterate of
+    `HenonMap(a, b)`, and the h-sets as `sets`; a missing `hyperbolicity` is null.
     """
 
     artifact_version: str = __version__
@@ -50,17 +52,15 @@ class ProofReport(Record):
     derived = ("covering_passed", "verdict")
 
     def __post_init__(self):
-        a, b, it = (self.map.get(k) for k in ("a", "b", "iterate"))
-        if not (isinstance(a, str) and isinstance(b, str)
-                and type(it) is int and it >= 1):  # bool, float, str
-            raise ReportError(
-                "malformed proof report: map needs decimal strings a, b "
-                f"and an integer iterate >= 1, got {self.map!r}")
+        it = self.map.get("iterate")
+        if not (type(it) is int and it >= 1):  # bool, float, str
+            raise ReportError("malformed proof report: map needs an integer "
+                              f"iterate >= 1, got {self.map!r}")
         if self.workers < 1:
             raise ReportError("malformed proof report: workers must be "
                               f">= 1, got {self.workers!r}")
-        try:
-            from_decimal(a), from_decimal(b)
+        try:  # the errors name the bad field: map.a, h-set 'a': center[0]
+            self.f = IteratedMap(HenonMap(self.map.get("a"), self.map.get("b")), k=it)
             self.sets = hset_family(self.hsets)
         except (IntervalError, SingularMatrixError) as e:
             raise ReportError(f"malformed proof report: {e}") from e

@@ -8,8 +8,8 @@ from henoncert import (
     Box,
     DivergenceError,
     HenonMap,
-    HenonParams,
     Interval,
+    IntervalError,
     IteratedMap,
     eval_point_fast,
     paper_map_pairs,
@@ -201,7 +201,7 @@ class TestJacobianChain:
         r2 = (Interval(0.0, 0.0), Interval(1.25, 1.5), Interval(-0.0, 0.0))
         row, *rest = HenonMap().jacobian_step(X, IMatrix([r0, r1, r2])).rows
         assert rest == [r0, r1]
-        m2y, mb = Interval(-0.75, -0.75), -HenonParams().b
+        m2y, mb = Interval(-0.75, -0.75), -HenonMap().b
         # each entry with one point-zero factor is the other term alone ...
         assert row[0] == m2y * r1[0] and row[1] == mb * r2[1]
         # ... which encloses the exact values, and is narrower than the sum
@@ -223,7 +223,7 @@ class TestJacobianChain:
         zero, nzero = Interval(0.0, 0.0), Interval(-0.0, -0.0)
         rows = HenonMap().times_jacobian(
             X, IMatrix([(p, q, r), (p, q, zero), (nzero, q, r)])).rows
-        m2y, mb = Interval(-0.75, -0.75), -HenonParams().b
+        m2y, mb = Interval(-0.75, -0.75), -HenonMap().b
         assert rows[0] == (q, m2y * p + r, mb * p)
         # a point-zero r: the product alone, which encloses the exact values
         # and is narrower than the sum that adds the zero
@@ -285,7 +285,7 @@ class TestJacobianChain:
     def test_chartless_jacobian_within_every_term_chain(self, h4):
         # jacobian_box(w3), then col 1 = (-2y) col 0 + col 2 and
         # col 2 = (-b) col 0 with every term kept, point zeros included
-        H, mb = HenonMap(), -HenonParams().b
+        H, mb = HenonMap(), -HenonMap().b
         for X in subdivide_box(Box.cube(-0.6, 0.6, 3), self.GRID):
             orbit = h4.orbit(X)
             full = H.jacobian_box(orbit[-2])
@@ -299,7 +299,7 @@ class TestJacobianChain:
     def test_chartless_source_side_jacobian_within_every_term_chain(self, h4):
         # jacobian_box(w0), then row 0 = (-2y) row 1 + (-b) row 2 with every
         # term kept, point zeros included
-        H, mb = HenonMap(), -HenonParams().b
+        H, mb = HenonMap(), -HenonMap().b
         for X in subdivide_box(Box.cube(-0.6, 0.6, 3), self.GRID):
             orbit = h4.orbit(X)
             full = H.jacobian_box(orbit[0])
@@ -378,14 +378,46 @@ class TestPointFast:
         with pytest.raises(DivergenceError):
             eval_point_fast((100.0, 100.0, 100.0), 50)
 
+    def test_default_map_is_built_once(self, monkeypatch):
+        p = (0.5, 0.5, 0.5)
+        explicit = [v.hex() for v in eval_point_fast(p, 50, HenonMap())]
+
+        def no_new_map(*args):
+            raise AssertionError("eval_point_fast built a map")
+
+        monkeypatch.setattr(HenonMap, "__init__", no_new_map)
+        for _ in range(3):
+            assert [v.hex() for v in eval_point_fast(p, 50)] == explicit
+
+    def test_given_map(self):
+        assert eval_point_fast((0, 0, 1), 1, HenonMap("1.5", "0.25")) == (1.25, 0.0, 0.0)
+
 
 class TestParams:
     def test_defaults_enclose_decimals(self):
-        p = HenonParams()
+        p = HenonMap()
         assert _exact_in(p.a, A_EXACT)
         assert _exact_in(p.b, B_EXACT)
 
     def test_custom_decimals(self):
-        p = HenonParams("1.5", "0.25")
+        p = HenonMap("1.5", "0.25")
         assert p.a == Interval(1.5, 1.5)
         assert p.b == Interval(0.25, 0.25)
+
+    def test_keeps_its_decimals(self):
+        h = HenonMap("1.5", "0.25")
+        assert (h.a_decimal, h.b_decimal, h.a_float, h.b_float) == ("1.5", "0.25", 1.5, 0.25)
+        assert (HenonMap().a_float, HenonMap().b_float) == (1.76, 0.1)
+        assert repr(h) == "HenonMap(a='1.5', b='0.25')"
+
+    @pytest.mark.parametrize("a, b, names", [
+        ("x", "0.1", "map.a: not a decimal literal: 'x'"),
+        ("1.76", "1e400", "map.b: literal out of double range: '1e400'"),
+        # a float is not a decimal: its binary value is not 1.76
+        (1.76, "0.1", "map.a: expected a decimal string, got 1.76"),
+        ("1.76", None, "map.b: expected a decimal string, got None"),
+    ])
+    def test_bad_coefficient_is_named(self, a, b, names):
+        with pytest.raises(IntervalError) as e:
+            HenonMap(a, b)
+        assert str(e.value) == names

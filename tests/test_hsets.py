@@ -204,6 +204,18 @@ class TestConstructionErrors:
         with pytest.raises(IntervalError):
             HSet("bad", definition)
 
+    @pytest.mark.parametrize("edit, names", [
+        pytest.param({"center": ["x", "1", "1"]},
+                     "h-set 'a': center[0]: not a decimal literal: 'x'", id="center"),
+        pytest.param({"basis": [*HSET_A_DEFINITION["basis"][:2], ["0", "1e400", "-0.06"]]},
+                     "h-set 'a': basis[2][1]: literal out of double range: '1e400'",
+                     id="basis"),
+    ])
+    def test_decimal_errors_name_the_set_and_field(self, edit, names):
+        with pytest.raises(IntervalError) as e:
+            HSet("a", {**HSET_A_DEFINITION, **edit})
+        assert str(e.value) == names
+
 
 class TestConfigFile:
     def test_save_load_roundtrip(self, tmp_path):

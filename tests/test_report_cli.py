@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import henoncert
 from henoncert import (
+    HenonMap,
     HyperbolicityCertificate,
     IntervalError,
     IteratedMap,
@@ -18,12 +20,13 @@ from henoncert import (
     ReportError,
     check_map_pair,
     make_paper_hsets,
+    paper_map_pairs,
     periodic_orbit_consequence,
     verify_covering,
 )
 from henoncert.cli import main
 from henoncert.drivers import run_all, run_hyperbolicity, run_symbolic
-from henoncert.hsets import HSet
+from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, HSet
 from henoncert.report import COVERING_CHAIN, symbolic_dynamics_statement
 
 
@@ -471,8 +474,9 @@ class TestCLI:
     @pytest.mark.parametrize("case", [
         "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
         "mixed-dims", "u-negative", "u-zero", "u-float", "s-bool", "u-string",
-        "inverse-overflow", "literal-overflow", "center-string", "row-string",
-        "number-entry", "ragged-basis", "two-dimensional", "orbit-overflow",
+        "inverse-overflow", "literal-overflow", "not-decimal", "center-string",
+        "row-string", "number-entry", "ragged-basis", "two-dimensional",
+        "orbit-overflow",
     ])
     def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
         a, b = make_paper_hsets()
@@ -495,6 +499,8 @@ class TestCLI:
             defs["a"]["basis"] = [["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         elif case == "literal-overflow":
             defs["a"]["center"][0] = "1e400"
+        elif case == "not-decimal":
+            defs["b"]["basis"][2][1] = "x"
         elif case == "center-string":  # once read as the center (1, 2, 3)
             defs["a"]["center"] = "123"
         elif case == "row-string":  # once read as the row (1, 0, 0)
@@ -518,8 +524,10 @@ class TestCLI:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
-        if case == "literal-overflow":
-            assert "'1e400'" in err
+        if case == "literal-overflow":  # the error names the set and the field
+            assert "h-set 'a': center[0]: literal out of double range: '1e400'" in err
+        if case == "not-decimal":
+            assert "h-set 'b': basis[2][1]: not a decimal literal: 'x'" in err
         if case == "orbit-overflow":
             assert str(hpath) in err
 
@@ -555,12 +563,16 @@ class TestCLI:
 
     @pytest.mark.parametrize("case", [
         "not-json", "malformed", "pre-change", "missing-hset", "no-iterate",
-        "iterate-not-int", "map-not-decimal",
+        "iterate-not-int", "map-not-decimal", "map-a-number", "echo-not-decimal",
     ])
     def test_bad_report_exits_2(self, case, tmp_path, capsys):
         d = _toy_report().to_dict()
         if case == "map-not-decimal":
             d["map"]["a"] = "x"
+        elif case == "map-a-number":  # its binary value is not 1.76
+            d["map"]["a"] = 1.76
+        elif case == "echo-not-decimal":
+            d["hsets"]["a"]["center"] = ["x", "1", "1"]
         elif case == "missing-hset":
             del d["hsets"]["b"]
         elif case == "no-iterate":
@@ -576,6 +588,12 @@ class TestCLI:
         rc = main(["periodic-orbits", "ab", "--report", str(path)])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        if case == "map-not-decimal":  # the error names the field
+            assert "malformed proof report: map.a: not a decimal literal: 'x'" in err
+        if case == "map-a-number":
+            assert "map.a: expected a decimal string, got 1.76" in err
+        if case == "echo-not-decimal":
+            assert "report: h-set 'a': center[0]: not a decimal literal: 'x'" in err
 
     def test_verify_all_small_grids_fails_but_reports(self, tmp_path, capsys):
         # grids this coarse cannot certify anything; exit code must be nonzero
@@ -682,6 +700,29 @@ class TestOneDriver:
         monkeypatch.setattr(HSet, "__init__", counting_init)
         main([command, *grids, "--workers", "1", "--report", str(tmp_path / "r.json")])
         assert built == ["a", "b"]
+
+    def test_shipped_echo_is_a_copy(self):
+        before = copy.deepcopy((HSET_A_DEFINITION, HSET_B_DEFINITION))
+        report = run_all(None, None, (1, 1, 1))
+        assert report.hsets == {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}
+        report.hsets["a"]["center"][0] = "9"
+        report.hsets["b"]["u"] = 3
+        del report.hsets["a"]["basis"][2]
+        assert (HSET_A_DEFINITION, HSET_B_DEFINITION) == before
+
+    def test_saved_report_rebuilds_the_map_that_ran(self, tmp_path):
+        grid = (3, 3, 3)
+        ran = run_all(None, None, grid, iterate=2)
+        path = tmp_path / "report.json"
+        ran.save(path)
+        loaded = ProofReport.load(path)
+        f = loaded.f
+        assert (f.base.a_decimal, f.base.b_decimal, f.k) == ("1.76", "0.1", 2)
+        assert (f.base.a, f.base.b) == (HenonMap().a, HenonMap().b)
+        assert repr(f) == repr(ran.f)
+        again = check_map_pair(paper_map_pairs(f, loaded.sets)["ab"], grid)
+        saved, = (o for o in loaded.hyperbolicity.outcomes if o.label == "ab")
+        assert again.to_dict() == saved.to_dict()
 
     def test_wrappers_return_parts_of_the_report(self):
         grid = (3, 3, 3)
