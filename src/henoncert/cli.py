@@ -1,17 +1,17 @@
 """Command-line driver: certification runs, consequences, figure data.
 
 Subcommands:
-  verify-symbolic        four covering relations (topological horseshoe)
-  verify-hyperbolicity   cone condition over the four chart pairs
+  verify-symbolic        covering relations on every chart pair (horseshoe)
+  verify-hyperbolicity   cone condition on every chart pair
   verify-all             both, one report
-  periodic-orbits WORD   logical consequence for a cyclic word over {a, b}
+  periodic-orbits WORD   consequence for a cyclic word over the report's h-sets
   attractor-sample       non-rigorous orbit CSV for plotting
 
 Exit code is 0 exactly when the requested verdict is true, 1 when it is not
 or when standard output is closed early, and 2 for bad input: a malformed
-flag (a non-finite seed among them), h-set file or proof report, a missing
-one, h-sets whose image under the iterate overflows, or an output path that
-cannot be written.
+flag (a non-finite seed among them), h-set file, proof report or word, a
+missing file, h-sets whose image under the iterate overflows, or an output
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .intervals import EnclosureError
 from .report import (
     ProofReport,
     ReportError,
+    WordError,
     periodic_orbit_consequence,
     symbolic_dynamics_statement,
 )
@@ -40,7 +41,7 @@ _GRIDS = {"body_grid": (BODY_GRID, "K,K,K"), "face_grid": (FACE_GRID, "M,M"),
           "hyp_grid": (HYP_GRID, "K,K,K")}  # default and metavar per grid flag
 # Verify subcommand -> (help, its grids).
 _VERIFY = {
-    "verify-symbolic": ("certify the four covering relations",
+    "verify-symbolic": ("certify the covering relation on every chart pair",
                         ("body_grid", "face_grid")),
     "verify-hyperbolicity": ("certify the cone condition on the chart cubes",
                              ("hyp_grid",)),
@@ -80,13 +81,6 @@ def _finite(text: str) -> float:
     return x
 
 
-def _word(text: str) -> str:
-    if not text or set(text) - {"a", "b"}:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-empty word over {{a, b}}, got {text!r}")
-    return text
-
-
 def _values(text: str, n: int, item=_positive):
     """Exactly `n` comma-separated values, each parsed by `item`."""
     parts = text.split(",")
@@ -104,8 +98,8 @@ def _add_common(p):
     p.add_argument("--report", default=DEFAULT_REPORT, metavar="PATH",
                    help="where to write the JSON proof report")
     p.add_argument("--hsets", default=None, metavar="PATH",
-                   help="JSON file with h-set definitions (decimal strings); "
-                        "must define sets named 'a' and 'b'")
+                   help="JSON file with h-set definitions (decimal strings): "
+                        "two or more, each named by one letter, of one (u, s)")
     p.add_argument("--max-failures", type=_positive, default=MAX_WITNESSES,
                    help="failing boxes listed per check: the first N are kept "
                         f"as witnesses, all are counted (default {MAX_WITNESSES})")
@@ -132,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodic-orbits",
                        help="state the periodic-orbit consequence of a "
                             "verified covering graph")
-    p.add_argument("word", type=_word, help="cyclic word over the symbols a, b")
+    p.add_argument("word", help="cyclic word over the report's h-set names")
     p.add_argument("--report", default=DEFAULT_REPORT, metavar="PATH",
                    help="proof report to draw the consequence from")
 
@@ -166,9 +160,9 @@ def _print_hyperbolicity(report: ProofReport):
               f"(skipped {o.skipped_disjoint}, positive definite "
               f"{o.positive_definite}, failed {o.failed})")
     if cert.passed:
-        it = report.map["iterate"]
-        print(f"The {it}-th iterate is strongly hyperbolic on a union b, "
-              f"hence uniformly hyperbolic on the invariant part of a union b.")
+        it, union = report.map["iterate"], " union ".join(report.sets)
+        print(f"The {it}-th iterate is strongly hyperbolic on {union}, "
+              f"hence uniformly hyperbolic on the invariant part of {union}.")
 
 
 def cmd_verify(args) -> int:
@@ -219,6 +213,8 @@ def cmd_periodic_orbits(args) -> int:
                         f"{type(e).__name__}: {e}{hint}")
     try:
         print(periodic_orbit_consequence(report, args.word))
+    except WordError as e:
+        raise _BadInput(e)
     except ReportError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

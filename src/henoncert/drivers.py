@@ -3,16 +3,15 @@
 `run_all` builds every proof report, echoing the paper's map at `iterate` and
 the h-sets (fresh copies of the shipped `a` and `b` unless given), and runs on
 the map and sets the report builds from its echo; a grid of None leaves its
-theorem out.  It is the one loop over the four chart pairs: `verify_covering`
-and `check_map_pair` each take one chart-conjugated map, and `fan_out` spreads
-the calls over `workers` processes.  Results come back in the fixed order of
-the pairs, keeping reports deterministic.
+theorem out.  It is the one loop over the family's chart pairs:
+`verify_covering` and `check_map_pair` each take one chart-conjugated map, and
+`fan_out` spreads the calls over `workers` processes.  Results come back in
+the family's pair order, keeping reports deterministic.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent import futures
 from copy import deepcopy
 
 from .covering import BODY_GRID, FACE_GRID, verify_covering
@@ -31,6 +30,7 @@ def fan_out(fn, arglists, workers: int):
     """[fn(*args) for args in arglists], spread over up to `workers` processes."""
     if workers <= 1 or len(arglists) <= 1:
         return [fn(*args) for args in arglists]
+    from concurrent import futures  # a serial run never loads the pool
     with futures.ProcessPoolExecutor(max_workers=min(workers, len(arglists))) as pool:
         return list(pool.map(fn, *zip(*arglists)))
 
@@ -44,9 +44,9 @@ def run_all(
     workers: int = 1,
     max_failures_reported: int = MAX_WITNESSES,
 ) -> ProofReport:
-    """One proof report: the covering chain a=>a, a=>b, b=>a, b=>b unless
-    `body_grid` is None, the cone condition over the four chart-conjugated
-    maps unless `hyp_grid` is None."""
+    """One proof report: the covering relation on each chart pair unless
+    `body_grid` is None, the cone condition on each chart-conjugated map
+    unless `hyp_grid` is None."""
     t0 = time.monotonic()
     report = ProofReport(
         map={"a": PAPER_MAP.a_decimal, "b": PAPER_MAP.b_decimal, "iterate": iterate},
@@ -69,12 +69,12 @@ def run_all(
 
 
 def run_symbolic(body_grid=BODY_GRID, face_grid=FACE_GRID, hsets=None) -> list:
-    """Covering certificates for the chain a=>a, a=>b, b=>a, b=>b."""
+    """Covering certificates, one per chart pair."""
     return run_all(body_grid, face_grid, None, hsets=hsets).covering
 
 
 def run_hyperbolicity(grid=HYP_GRID, hsets=None) -> HyperbolicityCertificate:
-    """Cone-condition certificate over the four chart-conjugated maps."""
+    """Cone-condition certificate over the chart-conjugated maps."""
     return run_all(None, None, grid, hsets=hsets).hyperbolicity
 
 

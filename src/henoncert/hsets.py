@@ -14,7 +14,8 @@ Jacobian sum only over the nonzero entries of M and M^-1, listed once per
 h-set; a dropped point-zero term is exactly 0, so both chart directions stay
 rigorous.  A Jacobian's chain may also start from M or M^-1 itself
 (`IteratedMap.jacobian_from_source`, `IteratedMap.jacobian`), whose zeros the
-Henon steps skip by the same rule.
+Henon steps skip by the same rule.  A family (`hset_family`) of disjoint sets
+is a covering graph: its chart pairs are every ordered pair of its sets.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ def _strings(value, n: int | None = None) -> bool:
 class HSet:
     """An h-set and its definition; the derived fields are not compared.
 
-    Raises IntervalError for a definition that is not of the shape above or
-    whose decimals do not parse or are out of double range, naming the set
-    and the field (`h-set 'a': center[0]: ...`), or whose M^-1 has entries
-    out of double range, and SingularMatrixError for a singular basis.
+    Raises IntervalError, naming the set and the field, for a definition not
+    of the shape above, or whose decimals or M^-1 entries do not parse or are
+    out of double range (`h-set 'a': center[0]: ...`, `... basis inverse: ...`),
+    and SingularMatrixError for a singular basis.
     """
 
     name: str
@@ -60,9 +61,9 @@ class HSet:
         def bad(why):
             return IntervalError(f"h-set {name!r}: {why}")
 
-        def decimal(where, d):
+        def enclose(where, parse, x):
             try:
-                return from_decimal(d)
+                return parse(x)
             except IntervalError as e:
                 raise bad(f"{where}: {e}") from e
 
@@ -84,11 +85,12 @@ class HSet:
             raise bad(f"u and s must be integers, got {u!r}, {s!r}")
         if u < 1 or s < 0 or u + s != n:
             raise bad(f"need u >= 1, s >= 0 and u+s = {n}, got u={u}, s={s}")
-        center = Box([decimal(f"center[{i}]", d) for i, d in enumerate(c)])
-        basis = IMatrix([[decimal(f"basis[{i}][{j}]", d) for j, d in enumerate(r)]
-                         for i, r in enumerate(m)])
+        center = Box([enclose(f"center[{i}]", from_decimal, d) for i, d in enumerate(c)])
+        basis = IMatrix([[enclose(f"basis[{i}][{j}]", from_decimal, d)
+                          for j, d in enumerate(r)] for i, r in enumerate(m)])
         exact = inverse_exact([[Fraction(d) for d in r] for r in m])  # parsed above
-        basis_inv = IMatrix([[from_fraction(q) for q in r] for r in exact])
+        basis_inv = IMatrix([[enclose("basis inverse", from_fraction, q) for q in r]
+                             for r in exact])
         if not (basis @ basis_inv).contains(IMatrix.identity(n)):
             raise bad("basis inverse fails the containment check")
         state = {
@@ -173,8 +175,7 @@ HSET_B_DEFINITION = {
 }
 
 
-# The covering relations i => j that make a union b a horseshoe, in report
-# order; the cone check runs on the same four chart pairs.
+# The shipped family's chart pairs, in report order: a union b is a horseshoe.
 COVERING_CHAIN = (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
 
 
@@ -183,29 +184,34 @@ def make_paper_hsets():
     return HSet("a", HSET_A_DEFINITION), HSet("b", HSET_B_DEFINITION)
 
 
-def paper_map_pairs(f, hsets: dict) -> dict:
-    """Label ij -> f_ij = C_j o f o C_i^-1 for each i => j of COVERING_CHAIN.
+def chart_pairs(names) -> list:
+    """Every ordered pair (i, j) of a family's set names, in its order."""
+    return [(i, j) for i in names for j in names]
 
-    Only sets a and b are used; any other set in `hsets` is ignored.
-    """
-    return {i + j: f.conjugated(hsets[i], hsets[j]) for i, j in COVERING_CHAIN}
+
+def paper_map_pairs(f, hsets: dict) -> dict:
+    """Label ij -> f_ij = C_j o f o C_i^-1 for each chart pair of `hsets`."""
+    return {i + j: f.conjugated(hsets[i], hsets[j]) for i, j in chart_pairs(hsets)}
 
 
 def hset_family(definitions) -> dict:
-    """{name: HSet} from a JSON object of definitions, each 3-dimensional, as
-    the map is, with `a` and `b` of one (u, s); else IntervalError."""
-    if not isinstance(definitions, dict):
-        raise IntervalError(f"h-sets must be a JSON object, got {definitions!r}")
+    """{name: HSet} from a JSON object of two or more one-letter-named 3-D (as the
+    map is) definitions of one (u, s), their support hulls disjoint; else IntervalError."""
+    if not (isinstance(definitions, dict) and len(definitions) >= 2 and all(
+            type(n) is str and len(n) == 1 and n.isalpha() for n in definitions)):
+        raise IntervalError("h-sets must be a JSON object of two or more sets, each "
+                            f"named by one letter, got {definitions!r}")
     hs = {name: HSet(name, d) for name, d in definitions.items()}
     dims = {name: h.dim for name, h in hs.items() if h.dim != 3}
     if dims:
         raise IntervalError(f"h-sets must be 3-dimensional: {dims}")
-    missing = {"a", "b"} - set(hs)
-    if missing:
-        raise IntervalError(f"h-sets must define sets named: {sorted(missing)}")
-    dims = {name: (hs[name].u, hs[name].s) for name in "ab"}
-    if dims["a"] != dims["b"]:
+    dims = {name: (h.u, h.s) for name, h in hs.items()}
+    if len(set(dims.values())) > 1:
         raise IntervalError(f"h-sets differ in (u, s): {dims}")
+    overlap = [i + j for i, j in chart_pairs(hs)
+               if i < j and not hs[i].support().is_disjoint(hs[j].support())]
+    if overlap:
+        raise IntervalError(f"h-set supports must be disjoint, overlapping: {overlap}")
     return hs
 
 

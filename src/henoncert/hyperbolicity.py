@@ -6,7 +6,7 @@ set, so it is skipped), or Df(B_i)^T Q Df(B_i) - Q must be verifiably
 positive definite with Q = W diag(Id_u, -Id_s) W, u and s read from f's
 charts and W = diag(CONE_SCALES), the cone scales shared by every chart (as
 in h-sets with cones, Zgliczynski, JDE 246, 2009, with one form for all
-sets).  A pass for all four map pairs yields uniform hyperbolicity of the
+sets).  A pass for every chart pair yields uniform hyperbolicity of the
 invariant set; `drivers.run_all` runs `check_map_pair` over them.
 
 `sweep` accepts each sub-box by its own enclosure or by that of a block of

@@ -15,6 +15,7 @@ Importing the module fails unless floats round to nearest.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ _INF = math.inf
 _TINY = sys.float_info.min  # smallest normal double
 _nextafter = math.nextafter
 _new = object.__new__
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class IntervalError(ValueError):
@@ -219,17 +221,16 @@ def _checked(lo: float, hi: float) -> Interval:
 
 
 def from_decimal(literal: str) -> Interval:
-    """Tightest interval containing the exact value of a decimal literal.
+    """Tightest interval containing the exact value of a decimal literal:
+    digits with an optional sign, point and exponent.
 
     Constants like "1.76" or "0.1" are not binary-representable; going through
     exact rational arithmetic keeps the enclosure width at most one ulp.
     """
+    if type(literal) is not str or not _DECIMAL.fullmatch(literal):
+        raise IntervalError(f"not a decimal literal: {literal!r}")
     try:
-        exact = Fraction(literal)
-    except (ValueError, ZeroDivisionError) as e:
-        raise IntervalError(f"not a decimal literal: {literal!r}") from e
-    try:
-        return from_fraction(exact)
+        return from_fraction(Fraction(literal))
     except IntervalError as e:
         raise IntervalError(f"literal out of double range: {literal!r}") from e
 

@@ -1,9 +1,9 @@
 """Machine-checkable proof reports and their logical consequences.
 
-A report bundles the four covering certificates (symbolic dynamics) and the
+A report bundles the covering certificates (symbolic dynamics) and the
 hyperbolicity certificate into one diffable JSON document that echoes every
-decimal input.  The periodic-orbit consequence is purely logical: it may only
-be stated from a report whose covering graph passed in full.
+decimal input.  A pass needs every chart pair of its h-sets, so it certifies
+each set it echoes; the logical consequences are stated only from a pass.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .covering import CoveringCertificate
 from .henon import HenonMap, IteratedMap
-from .hsets import COVERING_CHAIN, hset_family
+from .hsets import COVERING_CHAIN  # noqa: F401, re-exported
+from .hsets import chart_pairs, hset_family
 from .hyperbolicity import HyperbolicityCertificate
 from .intervals import IntervalError
 from .linalg import SingularMatrixError
@@ -25,10 +26,8 @@ class ReportError(ValueError):
     """Malformed report, or a consequence requested without a valid proof."""
 
 
-def _each_pair_once(pairs) -> bool:
-    """True when `pairs` are the (source, target) pairs of COVERING_CHAIN,
-    each exactly once, in any order."""
-    return sorted(pairs) == sorted(COVERING_CHAIN)
+class WordError(ReportError):
+    """A word that is empty or has a symbol the report's h-sets do not name."""
 
 
 @dataclass(kw_only=True)
@@ -38,7 +37,7 @@ class ProofReport(Record):
     `covering_passed` and `verdict` last.  Building or loading one checks `map`
     (decimal strings `a`, `b`, an integer `iterate >= 1`) and `workers >= 1`,
     and builds what it echoes: the map as `f`, the `iterate`-th iterate of
-    `HenonMap(a, b)`, and the h-sets as `sets`; a missing `hyperbolicity` is null.
+    `HenonMap(a, b)`, and the h-set family as `sets`; a missing `hyperbolicity` is null.
     """
 
     artifact_version: str = __version__
@@ -67,20 +66,22 @@ class ProofReport(Record):
 
     @property
     def covering_passed(self) -> bool:
-        """Each pair of COVERING_CHAIN has one certificate, which passed with
+        """Each chart pair of `sets` has one certificate, which passed with
         its A u x u, u from the echoed source h-set: a certificate takes u
         from A, so this is what ties its exit faces to the source's."""
-        return (_each_pair_once((c.source, c.target) for c in self.covering)
+        return (sorted((c.source, c.target) for c in self.covering)
+                == sorted(chart_pairs(self.sets))  # each once, in any order
                 and all(c.passed and len(c.A) == self.sets[c.source].u
                         and all(type(r) is list and len(r) == len(c.A) for r in c.A)
                         for c in self.covering))
 
     @property
     def verdict(self) -> bool:
-        """The covering chain and the cone check on its four pairs passed."""
+        """The covering graph and the cone check on its chart pairs passed."""
         h = self.hyperbolicity
         return (self.covering_passed and h is not None and h.passed
-                and _each_pair_once(tuple(o.label) for o in h.outcomes))
+                and sorted(tuple(o.label) for o in h.outcomes)
+                == sorted(chart_pairs(self.sets)))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -110,39 +111,34 @@ def symbolic_dynamics_statement(report: ProofReport) -> str:
     """The conclusion earned by a fully verified covering graph."""
     if not report.covering_passed:
         raise ReportError("covering graph did not pass; no conclusion available")
-    it = report.map["iterate"]
-    return (
-        f"All four covering relations among the h-sets a, b hold for the "
-        f"{it}-th iterate of the map; a union b is a topological horseshoe, "
-        f"so the iterate is semi-conjugate to the full shift on two symbols "
-        f"on the invariant part of a union b."
-    )
+    it, n, union = report.map["iterate"], len(report.sets), " union ".join(report.sets)
+    return (f"All {n * n} covering relations among the h-sets {', '.join(report.sets)} "
+            f"hold for the {it}-th iterate of the map; {union} is a topological "
+            f"horseshoe, so the iterate is semi-conjugate to the full shift on {n} "
+            f"symbols on the invariant part of {union}.")
 
 
 def periodic_orbit_consequence(report: ProofReport, word: str) -> str:
     """Existence statement for the periodic orbit coded by a cyclic word.
 
     Pure logic over the verified covering graph: every length-n cyclic word
-    over {a, b} names a chain of passed coverings, hence a period-n point.
-    Refuses unless all four coverings passed.  The supports it states are
-    those of the h-sets the report echoes, the sets it certified.
+    over the report's h-sets names a chain of passed coverings, hence a
+    period-n point.  WordError for any other word; ReportError unless every
+    covering passed.  The supports it states are those of the h-sets the
+    report echoes, the sets it certified.
     """
-    if not word or any(ch not in ("a", "b") for ch in word):
-        raise ReportError(f"word must be non-empty over {{a, b}}, got {word!r}")
+    if not word or set(word) - set(report.sets):
+        raise WordError(f"word must be non-empty over the h-sets "
+                        f"{{{', '.join(report.sets)}}}, got {word!r}")
     if not report.covering_passed:
-        raise ReportError(
-            "refusing to state consequences: the loaded report does not "
-            "certify all four covering relations"
-        )
-    it = report.map["iterate"]
-    n = len(word)
+        raise ReportError("refusing to state consequences: the loaded report does "
+                          "not certify every covering relation among its h-sets")
+    it, n = report.map["iterate"], len(word)
     lines = [
         f"Verified covering chain for the cyclic word '{word}' "
         f"(period {n} of the {it}-th iterate):"
     ]
-    for k, ch in enumerate(word):
-        nxt = word[(k + 1) % n]
-        lines.append(f"  {ch} => {nxt}  (step {k})")
+    lines += [f"  {ch} => {word[(k + 1) % n]}  (step {k})" for k, ch in enumerate(word)]
     visits = ", ".join(f"F^{k}(x) in int|{ch}|" for k, ch in enumerate(word))
     lines.append(
         f"Consequence: there exists x with {visits} and F^{n}(x) = x, "

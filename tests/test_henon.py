@@ -412,6 +412,7 @@ class TestParams:
 
     @pytest.mark.parametrize("a, b, names", [
         ("x", "0.1", "map.a: not a decimal literal: 'x'"),
+        ("7/4", "0.1", "map.a: not a decimal literal: '7/4'"),
         ("1.76", "1e400", "map.b: literal out of double range: '1e400'"),
         # a float is not a decimal: its binary value is not 1.76
         (1.76, "0.1", "map.a: expected a decimal string, got 1.76"),

@@ -174,7 +174,7 @@ class TestConstructionErrors:
         assert a.inverse_times(IMatrix([r[:2] for r in a.basis.rows])).ncols == 2
 
     def test_inverse_out_of_double_range(self):
-        with pytest.raises(IntervalError):
+        with pytest.raises(IntervalError, match="^h-set 'bad': basis inverse: "):
             HSet("bad", at_origin([["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
 
     @pytest.mark.parametrize("u, s", [(2.7, True), (2.0, 1), (2, True), ("2", 1), (None, 1)])
@@ -210,6 +210,11 @@ class TestConstructionErrors:
         pytest.param({"basis": [*HSET_A_DEFINITION["basis"][:2], ["0", "1e400", "-0.06"]]},
                      "h-set 'a': basis[2][1]: literal out of double range: '1e400'",
                      id="basis"),
+        pytest.param({"center": ["1/3", "1", "1"]},
+                     "h-set 'a': center[0]: not a decimal literal: '1/3'", id="fraction"),
+        pytest.param({"basis": [["1e-310", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+                     "h-set 'a': basis inverse: value out of double range: about 2**1029",
+                     id="inverse"),
     ])
     def test_decimal_errors_name_the_set_and_field(self, edit, names):
         with pytest.raises(IntervalError) as e:
@@ -244,10 +249,19 @@ class TestHSetFamily:
                                            "basis": [["1", "0"], ["0", "1"]],
                                            "u": 1, "s": 1}},
                      "must be 3-dimensional: {'c': 2}", id="two-dimensional"),
-        pytest.param({"a": HSET_A_DEFINITION}, "must define sets named: ['b']",
-                     id="missing-b"),
+        pytest.param({"a": HSET_A_DEFINITION}, "two or more sets", id="missing-b"),
+        pytest.param({**DEFINITIONS, "ab": HSET_A_DEFINITION}, "named by one letter",
+                     id="two-letter-name"),
         pytest.param({**DEFINITIONS, "b": {**HSET_B_DEFINITION, "u": 1, "s": 2}},
                      "differ in (u, s): {'a': (2, 1), 'b': (1, 2)}", id="mixed-u-s"),
+        # the shift on n symbols needs n disjoint sets: a copy of a, or a c
+        # whose y-range [1.0725, 1.4375] meets a's and b's, is no new symbol
+        pytest.param({**DEFINITIONS, "c": HSET_A_DEFINITION},
+                     "supports must be disjoint, overlapping: ['ac']", id="copy-of-a"),
+        pytest.param({**DEFINITIONS, "c": {**HSET_A_DEFINITION,
+                                           "center": ["0.81", "1.255", "0.975"]}},
+                     "supports must be disjoint, overlapping: ['ac', 'bc']",
+                     id="overlapping-c"),
     ])
     def test_rejects(self, definitions, why):
         with pytest.raises(IntervalError) as e:

@@ -150,13 +150,15 @@ class TestPaperMaps:
         for label, fc in paper_map_pairs(h4, paper_hsets).items():
             assert check_map_pair(fc, (1, 1, 1)).label == label
 
-    def test_third_hset_is_not_paired(self, paper_hsets, h4):
-        # only a and b carry the covering chain; a third set changes nothing
+    def test_third_hset_is_paired(self, paper_hsets, h4):
+        # the family is the covering graph: a third set adds its five pairs,
+        # and every pair comes in the family's order
         c = HSet("c", {**HSET_A_DEFINITION, "center": ["0.81", "4.0225", "0.975"]})
         hs = {**paper_hsets, "c": c}
-        assert list(paper_map_pairs(h4, hs)) == ["aa", "ab", "ba", "bb"]
+        labels = ["aa", "ab", "ac", "ba", "bb", "bc", "ca", "cb", "cc"]
+        assert list(paper_map_pairs(h4, hs)) == labels
         cert = run_hyperbolicity((1, 1, 1), hsets=hs)
-        assert [o.label for o in cert.outcomes] == ["aa", "ab", "ba", "bb"]
+        assert [o.label for o in cert.outcomes] == labels
 
     def test_pairs_need_matching_dims(self, paper_hsets, h4):
         mixed = {"a": paper_hsets["a"], "b": _hsets_u1_s2()["b"]}

@@ -94,9 +94,21 @@ class TestFromDecimal:
         assert contains_exact(r, Fraction(44, 25))
         assert r.hi - r.lo <= math.ulp(r.lo)
 
-    def test_malformed(self):
-        with pytest.raises(IntervalError):
-            from_decimal("not-a-number")
+    @pytest.mark.parametrize("literal", [
+        "not-a-number", "1/3", " 1.76 ", "1_000", "", ".", "1e", "inf", "nan",
+        "\u0661", 1.76,  # an Arabic-Indic one, and a float
+    ])
+    def test_malformed(self, literal):
+        # Fraction accepts "1/3", " 1.76 " and "1_000"; a decimal literal is
+        # digits with an optional sign, point and exponent, nothing else
+        with pytest.raises(IntervalError, match="not a decimal literal"):
+            from_decimal(literal)
+
+    @pytest.mark.parametrize("literal, value", [
+        ("1", 1.0), ("-1.", -1.0), ("+.5", 0.5), ("2.5E-1", 0.25), ("1e+2", 100.0),
+    ])
+    def test_decimal_forms(self, literal, value):
+        assert from_decimal(literal) == I(value, value)
 
     def test_out_of_double_range(self):
         for literal in ("1e400", "-2e308"):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from math import prod
@@ -27,21 +28,31 @@ from henoncert import (
 from henoncert.cli import main
 from henoncert.drivers import run_all, run_hyperbolicity, run_symbolic
 from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, HSet
-from henoncert.report import COVERING_CHAIN, symbolic_dynamics_statement
+from henoncert.report import COVERING_CHAIN, WordError, symbolic_dynamics_statement
+
+UNIT = {"center": ["0", "0", "0"],
+        "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+NINE = ["aa", "ab", "ac", "ba", "bb", "bc", "ca", "cb", "cc"]  # pairs of a, b, c
+# A third set in the gap between the shipped a (y in [0.84, 1.205]) and b
+# (y in [1.365, 1.61]): y in [1.215, 1.355], disjoint from both.
+HSET_C_DEFINITION = {**HSET_A_DEFINITION, "center": ["0.81", "1.285", "0.975"],
+                     "basis": [["0", "0.19", "-0.03"], ["0.07", "0", "0"],
+                               ["0", "-0.095", "-0.06"]]}
 
 
-def _toy_report(passed=True, cone=False):
-    """Report whose covering graph is a/b labelled toy self-coverings, and
-    with `cone` the cone check of the same maps."""
+def _toy_report(passed=True, cone=False, names="ab"):
+    """Report whose covering graph is toy self-coverings of unit charts, one
+    per ordered pair of `names`, and with `cone` the cone check of the same
+    maps.  It echoes the shipped a and b, and the unit cube around
+    (-3, 0, 0), away from both, for c."""
     scale = (3.0, 3.0, 0.25) if passed else (1.0, 1.0, 1.0)
     f = IteratedMap(LinearMap.scaling(*scale))
-    unit = {"center": ["0", "0", "0"],
-            "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
-    pairs = [f.conjugated(HSet(i, unit), HSet(j, unit)) for i, j in COVERING_CHAIN]
-    a, b = make_paper_hsets()
+    pairs = [f.conjugated(HSet(i, UNIT), HSet(j, UNIT)) for i in names for j in names]
+    shipped = {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION,
+               "c": {**UNIT, "center": ["-3", "0", "0"]}}
     return ProofReport(
         map={"a": "1.76", "b": "0.1", "iterate": 4},
-        hsets={"a": a.to_definition(), "b": b.to_definition()},
+        hsets={n: copy.deepcopy(shipped[n]) for n in names},
         covering=[verify_covering(fc, (3, 3, 3), (2, 2)) for fc in pairs],
         hyperbolicity=HyperbolicityCertificate(
             grid=(2, 2, 2), outcomes=[check_map_pair(fc, (2, 2, 2)) for fc in pairs],
@@ -230,10 +241,15 @@ class TestProofReport:
             "center": ["0", "0"], "basis": [["1", "0"], ["0", "1"]], "u": 1, "s": 1}),
             id="two-dimensional"),
         pytest.param(lambda h: h.pop("b"), id="missing-b"),
+        pytest.param(lambda h: h.update(ab=h["a"]), id="two-letter-name"),
+        pytest.param(lambda h: h["b"].update(u=1, s=2), id="mixed-u-s"),
+        pytest.param(lambda h: h.update(c=h["a"]), id="copy-of-a"),
+        pytest.param(lambda h: h.update(c={**h["a"], "center": ["0.81", "1.255", "0.975"]}),
+                     id="overlapping-c"),
     ])
     def test_echo_must_define_the_hsets(self, edit, symbolic_report):
-        # the echo names the sets the proof ran on, so one that defines no
-        # valid pair a, b does not load, and no consequence is stated from it
+        # the echo names the sets the proof ran on, so one that is not a valid
+        # family does not load, and no consequence is stated from it
         d = json.loads(json.dumps(symbolic_report))
         edit(d["hsets"])
         with pytest.raises(ReportError, match="malformed proof report"):
@@ -319,6 +335,80 @@ class TestConsequences:
         assert "  |b| subset of [0.590000, 1.030000] x " in text
 
 
+class TestCoveringGraph:
+    """The h-set family is the covering graph: a report needs each ordered
+    pair of the sets it echoes, in the family's order, and its statements
+    read their symbols from the family."""
+
+    def test_three_sets_give_nine_pairs(self, capsys):
+        rep = _toy_report(cone=True, names="abc")
+        assert [c.source + c.target for c in rep.covering] == NINE
+        assert [o.label for o in rep.hyperbolicity.outcomes] == NINE
+        assert rep.covering_passed and rep.verdict
+        assert ProofReport.from_json(rep.to_json()).verdict
+        text = symbolic_dynamics_statement(rep)
+        assert text.startswith("All 9 covering relations among the h-sets a, b, c hold")
+        assert text.endswith("full shift on 3 symbols on the invariant part of "
+                             "a union b union c.")
+        henoncert.cli._print_hyperbolicity(rep)
+        assert "strongly hyperbolic on a union b union c, hence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("section", ["covering", "cone"])
+    def test_one_failing_pair_fails_the_report(self, section):
+        d = _toy_report(cone=True, names="abc").to_dict()
+        bad = _toy_report(passed=False, cone=True, names="abc").to_dict()
+        if section == "covering":  # b => c
+            d["covering"][5] = bad["covering"][5]
+        else:
+            d["hyperbolicity"]["outcomes"][5] = bad["hyperbolicity"]["outcomes"][5]
+        rep = ProofReport.from_dict(d)
+        assert rep.covering_passed == (section == "cone")
+        assert not rep.verdict
+
+    def test_every_echoed_set_needs_its_pairs(self):
+        # the four pairs of a and b, each passed, with c echoed: c's five pairs
+        # are missing, so the report proves nothing
+        d = _toy_report(cone=True, names="abc").to_dict()
+        d["covering"] = [c for c in d["covering"] if "c" not in c["source"] + c["target"]]
+        d["hyperbolicity"]["outcomes"] = [
+            o for o in d["hyperbolicity"]["outcomes"] if "c" not in o["label"]]
+        rep = ProofReport.from_dict(d)
+        assert all(c.passed for c in rep.covering) and rep.hyperbolicity.passed
+        assert not rep.covering_passed and not rep.verdict
+        with pytest.raises(ReportError):
+            periodic_orbit_consequence(rep, "ab")
+
+    def test_words_over_the_family(self):
+        rep = _toy_report(names="abc")
+        text = periodic_orbit_consequence(rep, "abc")
+        assert "  c => a  (step 2)" in text and "F^3(x) = x" in text
+        assert "  |c| subset of [-4.000000, -2.000000] x " in text
+        with pytest.raises(WordError, match=re.escape("{a, b, c}, got 'abd'")):
+            periodic_orbit_consequence(rep, "abd")
+
+    def test_third_set_from_file_gets_its_nine_pairs(self, tmp_path, capsys):
+        # the shipped a and b plus a c disjoint from both, at the shipped
+        # grids: nine certificates and nine cone outcomes.  a and b cover c,
+        # but c covers nothing, so the report fails on c's three pairs.
+        hpath, path = tmp_path / "hsets.json", tmp_path / "report.json"
+        hpath.write_text(json.dumps({"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION,
+                                     "c": HSET_C_DEFINITION}))
+        rc = main(["verify-all", "--workers", "1", "--hsets", str(hpath),
+                   "--report", str(path)])
+        out = capsys.readouterr().out
+        rep = ProofReport.load(path)
+        assert list(rep.sets) == ["a", "b", "c"]
+        assert [c.source + c.target for c in rep.covering] == NINE
+        assert [o.label for o in rep.hyperbolicity.outcomes] == NINE
+        assert [c.source + c.target for c in rep.covering if not c.passed] == [
+            "ca", "cb", "cc"]
+        assert rep.hyperbolicity.passed
+        assert not rep.covering_passed and not rep.verdict
+        assert rc == 1 and out.endswith("verdict: FAIL\n")
+        assert out.count("covering ") == 9 and out.count("cone condition f_") == 9
+        assert "full shift" not in out
+
+
 class TestCLI:
     def test_attractor_sample_single_row(self, tmp_path, capsys):
         out = tmp_path / "orbit.csv"
@@ -381,13 +471,15 @@ class TestCLI:
 
     @pytest.mark.parametrize("word", ["abc", "", "AB"])
     def test_periodic_orbits_bad_word_exits_2(self, word, tmp_path, capsys):
-        # a malformed word is bad input, not a refused consequence (exit 1)
+        # a word over symbols the report's h-sets do not name is bad input,
+        # not a refused consequence (exit 1); it is checked once the report
+        # loads, which names the symbols
         path = tmp_path / "report.json"
         _toy_report().save(path)
-        with pytest.raises(SystemExit) as e:
-            main(["periodic-orbits", word, "--report", str(path)])
-        assert e.value.code == 2
-        assert "word" in capsys.readouterr().err
+        rc = main(["periodic-orbits", word, "--report", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "word" in err and "{a, b}" in err
 
     def test_periodic_orbits_refuses_failed_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -476,7 +568,7 @@ class TestCLI:
         "mixed-dims", "u-negative", "u-zero", "u-float", "s-bool", "u-string",
         "inverse-overflow", "literal-overflow", "not-decimal", "center-string",
         "row-string", "number-entry", "ragged-basis", "two-dimensional",
-        "orbit-overflow",
+        "orbit-overflow", "fraction", "two-letter-name", "copy-of-a", "overlapping-c",
     ])
     def test_bad_hsets_file_exits_2(self, case, tmp_path, capsys):
         a, b = make_paper_hsets()
@@ -514,6 +606,14 @@ class TestCLI:
                         "u": 1, "s": 1} for n in "ab"}
         elif case == "orbit-overflow":  # in range, but y^2 overflows
             defs["a"]["center"] = ["0.81", "1e200", "0.975"]
+        elif case == "fraction":  # Fraction would read it as 1/3
+            defs["a"]["center"][0] = "1/3"
+        elif case == "two-letter-name":  # the word "ab" could name one set or two
+            defs["ab"] = defs["a"]
+        elif case == "copy-of-a":  # the same set twice is no third symbol
+            defs["c"] = defs["a"]
+        elif case == "overlapping-c":  # y in [1.0725, 1.4375] meets a and b
+            defs["c"] = {**defs["a"], "center": ["0.81", "1.255", "0.975"]}
         hpath = tmp_path / "hsets.json"
         if case != "unreadable":
             hpath.write_text("{a: 1" if case == "not-json" else json.dumps(defs))
@@ -528,6 +628,15 @@ class TestCLI:
             assert "h-set 'a': center[0]: literal out of double range: '1e400'" in err
         if case == "not-decimal":
             assert "h-set 'b': basis[2][1]: not a decimal literal: 'x'" in err
+        if case == "fraction":
+            assert "h-set 'a': center[0]: not a decimal literal: '1/3'" in err
+        family = {"missing-b": "two or more sets", "mixed-dims": "differ in (u, s)",
+                  "two-letter-name": "named by one letter",
+                  "copy-of-a": "supports must be disjoint, overlapping: ['ac']",
+                  "overlapping-c": "overlapping: ['ac', 'bc']"}
+        assert family.get(case, "") in err
+        if case == "inverse-overflow":
+            assert "h-set 'a': basis inverse: value out of double range" in err
         if case == "orbit-overflow":
             assert str(hpath) in err
 
@@ -564,6 +673,7 @@ class TestCLI:
     @pytest.mark.parametrize("case", [
         "not-json", "malformed", "pre-change", "missing-hset", "no-iterate",
         "iterate-not-int", "map-not-decimal", "map-a-number", "echo-not-decimal",
+        "map-fraction",
     ])
     def test_bad_report_exits_2(self, case, tmp_path, capsys):
         d = _toy_report().to_dict()
@@ -571,6 +681,8 @@ class TestCLI:
             d["map"]["a"] = "x"
         elif case == "map-a-number":  # its binary value is not 1.76
             d["map"]["a"] = 1.76
+        elif case == "map-fraction":  # Fraction would read it as 1.75
+            d["map"]["a"] = "7/4"
         elif case == "echo-not-decimal":
             d["hsets"]["a"]["center"] = ["x", "1", "1"]
         elif case == "missing-hset":
@@ -592,6 +704,8 @@ class TestCLI:
             assert "malformed proof report: map.a: not a decimal literal: 'x'" in err
         if case == "map-a-number":
             assert "map.a: expected a decimal string, got 1.76" in err
+        if case == "map-fraction":
+            assert "malformed proof report: map.a: not a decimal literal: '7/4'" in err
         if case == "echo-not-decimal":
             assert "report: h-set 'a': center[0]: not a decimal literal: 'x'" in err
 
