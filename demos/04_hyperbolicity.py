@@ -15,7 +15,7 @@ from henoncert import (
     make_paper_hsets,
     paper_map_pairs,
 )
-from henoncert.drivers import run_hyperbolicity
+from henoncert.drivers import run_all
 from henoncert.hyperbolicity import CONE_SCALES, cone_quadratic_form
 
 a, b = make_paper_hsets()
@@ -30,11 +30,12 @@ out = check_map_pair(pairs["aa"], (25, 25, 25))
 print(f"f_{out.label}: skipped {out.skipped_disjoint}, positive definite "
       f"{out.positive_definite}, failed {out.failed}")
 
-# The whole certificate; without subdivision it cannot work
-cert = run_hyperbolicity(grid=(25, 25, 25))
+# The whole certificate, from the one driver with the covering left out;
+# without subdivision it cannot work
+cert = run_all(body_grid=None, hyp_grid=(25, 25, 25)).hyperbolicity
 print("all four pairs at 25^3:", "PASS" if cert.passed else "FAIL",
       f"({cert.wall_time:.1f}s)")
 
-coarse = run_hyperbolicity(grid=(1, 1, 1))
+coarse = run_all(body_grid=None, hyp_grid=(1, 1, 1)).hyperbolicity
 print("whole-cube check (1^3):", "PASS" if coarse.passed else "FAIL",
       "- the unsubdivided Jacobian enclosure is far too wide")

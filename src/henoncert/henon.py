@@ -58,6 +58,8 @@ class HenonMap:
         return unchecked_box((self.a - y.sqr() - self.b * z, x, y))
 
     def jacobian_box(self, X: Box) -> IMatrix:
+        """Dense Dh(X), every entry multiplied: no check calls it, and the tests
+        compare the companion steps and both Jacobian chains against it."""
         if X.dim != 3:
             raise IntervalError("Henon map acts on 3-dimensional boxes")
         y = X.coords[1]
@@ -136,9 +138,6 @@ class LinearMap:
     def eval_box(self, X: Box) -> Box:
         return self.matrix @ X
 
-    def jacobian_box(self, X: Box) -> IMatrix:
-        return self.matrix
-
     def jacobian_step(self, X: Box, J: IMatrix) -> IMatrix:
         return self.matrix @ J
 
@@ -148,17 +147,16 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class IteratedMap:
-    """k-fold iterate of a base map, optionally conjugated by affine charts.
+    """k-fold iterate of a base map; with both charts it acts on chart cubes.
 
-    With charts the action on a local box X is
+    A chart-less map is the iterate that `conjugated(N_i, N_j)` charts; only
+    a charted map evaluates or differentiates.  On a local box X it is
         chart_post.local_from_world( base^k ( chart_pre.world_from_local(X) ) ),
     and its Jacobian is M_post^-1 Dh(w_{k-1}) ... Dh(w_0) M_pre over the orbit
-    w_0 ... w_k.  `jacobian` multiplies this product from the left,
-    `jacobian_from_source` from the right; the two enclose the same matrices,
-    the first more tightly.  Charts carry the tightest enclosure of their
-    exact-rational inverse; the chart maps, the chains' steps and the chart
-    products skip only point-zero terms, which are exactly 0, so every step
-    keeps enclosure.
+    w_0 ... w_k, which `jacobian` multiplies from the left and
+    `jacobian_from_source` from the right; both enclose it, the first more
+    tightly.  The chart maps, the chains' steps and the chart products skip
+    only point-zero terms, which are exactly 0, so every step keeps enclosure.
     """
 
     base: object
@@ -169,22 +167,25 @@ class IteratedMap:
     def __post_init__(self):
         if self.k < 1:
             raise IntervalError(f"iterate count must be >= 1, got {self.k}")
+        pre, post = self.chart_pre, self.chart_post
+        if (pre is None) != (post is None):
+            raise IntervalError("a charted map needs both charts")
+        if pre is not None and (pre.u, pre.s) != (post.u, post.s):
+            raise IntervalError("charts must have matching exit/entry dimensions")
 
     def conjugated(self, source, target) -> "IteratedMap":
-        """C_target o f o C_source^-1; the charts must share (u, s)."""
-        if (source.u, source.s) != (target.u, target.s):
-            raise IntervalError("charts must have matching exit/entry dimensions")
+        """C_target o f o C_source^-1."""
         return IteratedMap(self.base, self.k, chart_pre=source, chart_post=target)
 
     def charts(self):
-        """(chart_pre, chart_post); IntervalError unless both are attached."""
-        if self.chart_pre is None or self.chart_post is None:
+        """(chart_pre, chart_post); IntervalError on a chart-less map."""
+        if self.chart_pre is None:
             raise IntervalError("the checks act on chart cubes: conjugate the map")
         return self.chart_pre, self.chart_post
 
     def orbit(self, X: Box):
         """World boxes [w_0, ..., w_k] along the iteration, w_0 pre-chart image."""
-        w = self.chart_pre.world_from_local(X) if self.chart_pre else X
+        w = self.charts()[0].world_from_local(X)
         out = [w]
         for _ in range(self.k):
             w = self.base.eval_box(w)
@@ -193,55 +194,38 @@ class IteratedMap:
 
     def eval(self, X: Box, orbit=None) -> Box:
         """Local image of X; `orbit`, if given, is `self.orbit(X)`, reused."""
-        w = (self.orbit(X) if orbit is None else orbit)[-1]
-        return self.chart_post.local_from_world(w) if self.chart_post else w
+        post = self.charts()[1]
+        return post.local_from_world((self.orbit(X) if orbit is None else orbit)[-1])
 
     def jacobian(self, X: Box, orbit=None) -> IMatrix:
         """Chain-rule enclosure of the derivative over every point of X, taken
-        from the target side.
-
-        With a target chart the chain starts from the rows of its inverse
-        M_post^-1 and applies `base.times_jacobian` over w_{k-1} ... w_0;
-        without one it starts from `base.jacobian_box(w_{k-1})` and steps over
-        w_{k-2} ... w_0.  A source chart then multiplies by its basis M_pre.
-        The cone check and the covering's linearization `A` use this chain.
-        `orbit`, if given, is `self.orbit(X)`, reused.
+        from the target side: the rows of M_post^-1, then `base.times_jacobian`
+        over w_{k-1} ... w_0, then the source chart's basis M_pre.  The cone
+        check and the covering's linearization `A` use this chain.  `orbit`,
+        if given, is `self.orbit(X)`, reused.
         """
+        pre, post = self.charts()
         boxes = self.orbit(X) if orbit is None else orbit
-        steps = boxes[-2::-1]
-        if self.chart_post is not None:
-            J = self.chart_post.basis_inv
-        else:
-            J, steps = self.base.jacobian_box(steps[0]), steps[1:]
-        for w in steps:
+        J = post.basis_inv
+        for w in boxes[-2::-1]:
             J = self.base.times_jacobian(w, J)
-        if self.chart_pre is not None:
-            J = self.chart_pre.times_basis(J)
-        return J
+        return pre.times_basis(J)
 
     def jacobian_from_source(self, X: Box, orbit=None) -> IMatrix:
-        """The same derivative, enclosed by the chain taken from the source side.
-
-        With a source chart the chain starts from its basis M_pre and applies
-        `base.jacobian_step` over w_0 ... w_{k-1}; without one it starts from
-        `base.jacobian_box(w_0)` and steps over w_1 ... w_{k-1}.  A target
-        chart then multiplies by its inverse.  Only condition I's mean-value
-        form uses it.  On `jacobian` condition I needs 286 boxes instead of
-        364 at the defaults, and `verify-symbolic` runs then get shorter than
-        the benchmark's calibration period, which crashes its worker (ROADMAP
-        item 7); this method goes once that is fixed.  `orbit`, if given, is
-        `self.orbit(X)`, reused.
+        """The same derivative, enclosed by the chain taken from the source side:
+        M_pre, then `base.jacobian_step` over w_0 ... w_{k-1}, then the target
+        chart's inverse.  Only condition I's mean-value form uses it.  On
+        `jacobian` condition I needs 246 boxes instead of 324 at the defaults
+        (`verify-symbolic` 286 instead of 364), and `verify-symbolic` runs then
+        get shorter than the benchmark's calibration period, which crashes its
+        worker (ROADMAP item 7); this method goes once that is fixed.
+        `orbit`, if given, is `self.orbit(X)`, reused.
         """
-        boxes = self.orbit(X) if orbit is None else orbit
-        if self.chart_pre is not None:
-            J, steps = self.chart_pre.basis, boxes[:-1]
-        else:
-            J, steps = self.base.jacobian_box(boxes[0]), boxes[1:-1]
-        for w in steps:
+        pre, post = self.charts()
+        J = pre.basis
+        for w in (self.orbit(X) if orbit is None else orbit)[:-1]:
             J = self.base.jacobian_step(w, J)
-        if self.chart_post is not None:
-            J = self.chart_post.inverse_times(J)
-        return J
+        return post.inverse_times(J)
 
 
 def eval_point_fast(p, k: int, h: HenonMap | None = None):

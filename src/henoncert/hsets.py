@@ -12,7 +12,7 @@ each entry enclosed in a point where it is a double (as the exact zeros
 are), else one ulp wide.  The chart maps and the chart products of a
 Jacobian sum only over the nonzero entries of M and M^-1, listed once per
 h-set; a dropped point-zero term is exactly 0, so both chart directions stay
-rigorous.  A Jacobian's chain may also start from M or M^-1 itself
+rigorous.  A Jacobian's chain starts from M or M^-1 itself
 (`IteratedMap.jacobian_from_source`, `IteratedMap.jacobian`), whose zeros the
 Henon steps skip by the same rule.  A family (`hset_family`) of disjoint sets
 is a covering graph: its chart pairs are every ordered pair of its sets.
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .intervals import Box, IntervalError, from_decimal, from_fraction, unchecked_box
-from .linalg import (IMatrix, inverse_exact, nonzero_entries, sparse_dot,
-                     unchecked_matrix)
+from .linalg import (IMatrix, SingularMatrixError, inverse_exact, nonzero_entries,
+                     sparse_dot, unchecked_matrix)
 
 
 def _strings(value, n: int | None = None) -> bool:
@@ -42,7 +42,8 @@ class HSet:
     Raises IntervalError, naming the set and the field, for a definition not
     of the shape above, or whose decimals or M^-1 entries do not parse or are
     out of double range (`h-set 'a': center[0]: ...`, `... basis inverse: ...`),
-    and SingularMatrixError for a singular basis.
+    and SingularMatrixError, naming the set, for a singular basis
+    (`h-set 'b': basis: the matrix is singular`).
     """
 
     name: str
@@ -64,8 +65,8 @@ class HSet:
         def enclose(where, parse, x):
             try:
                 return parse(x)
-            except IntervalError as e:
-                raise bad(f"{where}: {e}") from e
+            except (IntervalError, SingularMatrixError) as e:
+                raise type(e)(f"h-set {name!r}: {where}: {e}") from e
 
         if not isinstance(definition, dict):
             raise bad(f"expected an object, got {definition!r}")
@@ -88,7 +89,7 @@ class HSet:
         center = Box([enclose(f"center[{i}]", from_decimal, d) for i, d in enumerate(c)])
         basis = IMatrix([[enclose(f"basis[{i}][{j}]", from_decimal, d)
                           for j, d in enumerate(r)] for i, r in enumerate(m)])
-        exact = inverse_exact([[Fraction(d) for d in r] for r in m])  # parsed above
+        exact = enclose("basis", inverse_exact, [[Fraction(d) for d in r] for r in m])
         basis_inv = IMatrix([[enclose("basis inverse", from_fraction, q) for q in r]
                              for r in exact])
         if not (basis @ basis_inv).contains(IMatrix.identity(n)):

@@ -135,7 +135,7 @@ def check_map_pair(
     the sweep, and only for the listed failing cells, each rebuilt from its
     endpoints: a rejected block needs none of them.
     """
-    N0, N1 = fc.charts()  # `conjugated` made both charts share (u, s)
+    N0, N1 = fc.charts()  # a charted map's charts share (u, s)
     Q = cone_quadratic_form(N0.u, N0.s)
 
     def skip_or_pd(Bi):

@@ -564,7 +564,8 @@ class TestCLI:
         assert e.value.code == 2
 
     @pytest.mark.parametrize("case", [
-        "unreadable", "not-json", "missing-b", "singular-basis", "unknown-key",
+        "unreadable", "not-json", "missing-b", "singular-basis", "singular-b",
+        "unknown-key",
         "mixed-dims", "u-negative", "u-zero", "u-float", "s-bool", "u-string",
         "inverse-overflow", "literal-overflow", "not-decimal", "center-string",
         "row-string", "number-entry", "ragged-basis", "two-dimensional",
@@ -577,6 +578,8 @@ class TestCLI:
             del defs["b"]
         elif case == "singular-basis":
             defs["a"]["basis"] = [["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+        elif case == "singular-b":  # the error names the set
+            defs["b"]["basis"] = [["1", "0", "0"], ["0", "0", "1"], ["0", "0", "1"]]
         elif case == "unknown-key":
             defs["a"]["unstable"] = 1
         elif case == "mixed-dims":
@@ -637,6 +640,8 @@ class TestCLI:
         assert family.get(case, "") in err
         if case == "inverse-overflow":
             assert "h-set 'a': basis inverse: value out of double range" in err
+        if case == "singular-b":
+            assert "h-set 'b': basis: the matrix is singular" in err
         if case == "orbit-overflow":
             assert str(hpath) in err
 
@@ -673,7 +678,7 @@ class TestCLI:
     @pytest.mark.parametrize("case", [
         "not-json", "malformed", "pre-change", "missing-hset", "no-iterate",
         "iterate-not-int", "map-not-decimal", "map-a-number", "echo-not-decimal",
-        "map-fraction",
+        "map-fraction", "echo-singular-b",
     ])
     def test_bad_report_exits_2(self, case, tmp_path, capsys):
         d = _toy_report().to_dict()
@@ -685,6 +690,8 @@ class TestCLI:
             d["map"]["a"] = "7/4"
         elif case == "echo-not-decimal":
             d["hsets"]["a"]["center"] = ["x", "1", "1"]
+        elif case == "echo-singular-b":
+            d["hsets"]["b"]["basis"] = [["1", "0", "0"], ["0", "0", "1"], ["0", "0", "1"]]
         elif case == "missing-hset":
             del d["hsets"]["b"]
         elif case == "no-iterate":
@@ -708,6 +715,8 @@ class TestCLI:
             assert "malformed proof report: map.a: not a decimal literal: '7/4'" in err
         if case == "echo-not-decimal":
             assert "report: h-set 'a': center[0]: not a decimal literal: 'x'" in err
+        if case == "echo-singular-b":
+            assert "report: h-set 'b': basis: the matrix is singular" in err
 
     def test_verify_all_small_grids_fails_but_reports(self, tmp_path, capsys):
         # grids this coarse cannot certify anything; exit code must be nonzero
