@@ -76,9 +76,9 @@ class HenonMap:
 
         The exact 0 and 1 entries of Dh are never multiplied, and a term whose
         entry of J is the point 0 is dropped: 0*x = 0 exactly for finite x, the
-        rule `linalg.nonzero_entries` applies to chart products.  Where both
-        entries are point zeros the result is the point 0.  So no entry is
-        widened by an exact zero of J, nor by the exact 0s and 1s of Dh.
+        rule of every `IMatrix @` product.  Where both entries are point zeros
+        the result is the point 0.  So no entry is widened by an exact zero of
+        J, nor by the exact 0s and 1s of Dh.
         """
         if X.dim != 3:
             raise IntervalError("Henon map acts on 3-dimensional boxes")
@@ -200,7 +200,7 @@ class IteratedMap:
     def jacobian(self, X: Box, orbit=None) -> IMatrix:
         """Chain-rule enclosure of the derivative over every point of X, taken
         from the target side: the rows of M_post^-1, then `base.times_jacobian`
-        over w_{k-1} ... w_0, then the source chart's basis M_pre.  The cone
+        over w_{k-1} ... w_0, then the product `J @ M_pre`.  The cone
         check and the covering's linearization `A` use this chain.  `orbit`,
         if given, is `self.orbit(X)`, reused.
         """
@@ -209,23 +209,26 @@ class IteratedMap:
         J = post.basis_inv
         for w in boxes[-2::-1]:
             J = self.base.times_jacobian(w, J)
-        return pre.times_basis(J)
+        return J @ pre.basis
 
     def jacobian_from_source(self, X: Box, orbit=None) -> IMatrix:
         """The same derivative, enclosed by the chain taken from the source side:
-        M_pre, then `base.jacobian_step` over w_0 ... w_{k-1}, then the target
-        chart's inverse.  Only condition I's mean-value form uses it.  On
+        M_pre, then `base.jacobian_step` over w_0 ... w_{k-1}, then the product
+        `M_post^-1 @ J`.  Only condition I's mean-value form uses it.  On
         `jacobian` condition I needs 246 boxes instead of 324 at the defaults
-        (`verify-symbolic` 286 instead of 364), and `verify-symbolic` runs then
-        get shorter than the benchmark's calibration period, which crashes its
-        worker (ROADMAP item 7); this method goes once that is fixed.
+        (`verify-symbolic` 286 instead of 364), and an in-process
+        `verify-symbolic` run takes 34 ms of thread CPU instead of 46 ms
+        (2-core Xeon VM, CPython 3.11.7).  A run that short can see no sample
+        of the benchmark's calibration thread, and its worker then dies of a
+        ZeroDivisionError in `benchmarks/calibrate.py::speed_factor` (ROADMAP
+        item 7); this method goes once that is fixed.
         `orbit`, if given, is `self.orbit(X)`, reused.
         """
         pre, post = self.charts()
         J = pre.basis
         for w in (self.orbit(X) if orbit is None else orbit)[:-1]:
             J = self.base.jacobian_step(w, J)
-        return post.inverse_times(J)
+        return post.basis_inv @ J
 
 
 def eval_point_fast(p, k: int, h: HenonMap | None = None):

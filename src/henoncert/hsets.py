@@ -9,13 +9,12 @@ definition, which `to_definition` returns, so a report echoes exactly the
 sets it certified.  Everything else derives from it: the tightest interval
 around each decimal, and M^-1 computed exactly with `fractions.Fraction`,
 each entry enclosed in a point where it is a double (as the exact zeros
-are), else one ulp wide.  The chart maps and the chart products of a
-Jacobian sum only over the nonzero entries of M and M^-1, listed once per
-h-set; a dropped point-zero term is exactly 0, so both chart directions stay
-rigorous.  A Jacobian's chain starts from M or M^-1 itself
-(`IteratedMap.jacobian_from_source`, `IteratedMap.jacobian`), whose zeros the
-Henon steps skip by the same rule.  A family (`hset_family`) of disjoint sets
-is a covering graph: its chart pairs are every ordered pair of its sets.
+are), else one ulp wide.  The chart maps, c + M X and M^-1 (Y - c), and a
+Jacobian's chart products are plain `IMatrix @` products, which drop every
+term with a point-zero factor: it is exactly 0, so the exact zeros of M and
+M^-1 widen no enclosure, and the Henon steps skip them by the same rule.  A
+family (`hset_family`) of disjoint sets is a covering graph: its chart pairs
+are every ordered pair of its sets.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intervals import Box, IntervalError, from_decimal, from_fraction, unchecked_box
-from .linalg import (IMatrix, SingularMatrixError, inverse_exact, nonzero_entries,
-                     sparse_dot, unchecked_matrix)
+from .intervals import Box, IntervalError, from_decimal, from_fraction
+from .linalg import IMatrix, SingularMatrixError, inverse_exact
 
 
 def _strings(value, n: int | None = None) -> bool:
@@ -53,10 +51,6 @@ class HSet:
     basis_inv: IMatrix = field(repr=False, compare=False)  # verified enclosure of M^-1
     u: int = field(repr=False, compare=False)
     s: int = field(repr=False, compare=False)
-    # nonzero (index, entry) pairs of M's rows, M's columns and M^-1's rows
-    _rows: tuple = field(repr=False, compare=False)
-    _cols: tuple = field(repr=False, compare=False)
-    _inv_rows: tuple = field(repr=False, compare=False)
 
     def __init__(self, name: str, definition: dict):
         def bad(why):
@@ -99,9 +93,6 @@ class HSet:
             "definition": (tuple(c), tuple(map(tuple, m)), u, s),
             "center": center,
             "basis": basis, "basis_inv": basis_inv, "u": u, "s": s,
-            "_rows": nonzero_entries(basis.rows),
-            "_cols": nonzero_entries(zip(*basis.rows)),
-            "_inv_rows": nonzero_entries(basis_inv.rows),
         }
         for key, value in state.items():
             object.__setattr__(self, key, value)
@@ -112,35 +103,11 @@ class HSet:
 
     def world_from_local(self, X: Box) -> Box:
         """c + M X, enclosed."""
-        x = X.coords
-        if len(x) != self.dim:
-            raise IntervalError("box and chart dimensions differ")
-        return unchecked_box(tuple(
-            c + sparse_dot(r, x) for c, r in zip(self.center.coords, self._rows)
-        ))
+        return self.center + self.basis @ X
 
     def local_from_world(self, Y: Box) -> Box:
         """M^-1 (Y - c), enclosed."""
-        d = (Y - self.center).coords
-        return unchecked_box(tuple(sparse_dot(r, d) for r in self._inv_rows))
-
-    def times_basis(self, J: IMatrix) -> IMatrix:
-        """J @ M, enclosed: a world-domain Jacobian in this chart's coordinates."""
-        if J.ncols != self.dim:
-            raise IntervalError("matrix and chart dimensions differ")
-        cols = self._cols
-        return unchecked_matrix(tuple(
-            tuple(sparse_dot(c, row) for c in cols) for row in J.rows
-        ))
-
-    def inverse_times(self, J: IMatrix) -> IMatrix:
-        """M^-1 @ J, enclosed: a world-range Jacobian in this chart's coordinates."""
-        if J.nrows != self.dim:
-            raise IntervalError("matrix and chart dimensions differ")
-        cols = tuple(zip(*J.rows))
-        return unchecked_matrix(tuple(
-            tuple(sparse_dot(r, c) for c in cols) for r in self._inv_rows
-        ))
+        return self.basis_inv @ (Y - self.center)
 
     def support(self) -> Box:
         """Interval hull of the support in world coordinates."""

@@ -9,7 +9,7 @@ are widened by one ulp on each side, which is always sound under
 round-to-nearest.  Scaling by a power of two is exact unless it leaves the
 normal range.  Rationals are enclosed tightly through `fractions.Fraction`.
 
-Importing the module fails unless floats round to nearest.
+Importing the module fails unless floats round to nearest, and only once.
 """
 
 from __future__ import annotations
@@ -35,17 +35,20 @@ class EnclosureError(ArithmeticError):
 
 
 def _require_round_to_nearest() -> None:
-    """Raise unless floats round to nearest, which every one-ulp widening
-    here assumes.  The operands are made at run time, so the probe cannot be
-    folded into the compiled module."""
+    """Raise unless floats round to nearest, once, which every one-ulp
+    widening and the exact two-sum here assume.  The operands are made at run
+    time, so the probe cannot be folded into the compiled module."""
     one, half_ulp = float("1"), float("1.1102230246251565e-16")  # 2**-53
     three_quarters_ulp = float("1.6653345369377348e-16")  # 3 * 2**-54
+    past_half_ulp = float("1.1107651257113993e-16")  # 2**-53 + 2**-64
     if not (one + half_ulp == one  # not upward
             and -one - half_ulp == -one  # not downward
-            and one + three_quarters_ulp != one):  # not downward or toward zero
+            and one + three_quarters_ulp != one  # not downward or toward zero
+            # not rounded twice, as by x87 extended precision, which gives 1
+            and one + past_half_ulp == one + 2 * half_ulp):
         raise RuntimeError(
-            "henoncert needs IEEE-754 round-to-nearest floating point; the "
-            "current rounding mode would make its enclosures unsound"
+            "henoncert needs IEEE-754 round-to-nearest floating point, rounded "
+            "once; the current rounding would make its enclosures unsound"
         )
 
 

@@ -1,10 +1,10 @@
 """Rigorous interval vectors and small matrices.
 
-Products (dense, and sparse over a matrix's nonzero entries), determinants,
-the exact-rational inverse, Sylvester's criterion on interval matrices, and
-deterministic box subdivision.  Everything
-propagates outward rounding from the interval kernel, so results enclose the
-exact values for every member matrix.
+Products (`IMatrix @`, which drops every term with a point-zero factor),
+determinants, the exact-rational inverse, Sylvester's criterion on interval
+matrices, and deterministic box subdivision.  Everything propagates outward
+rounding from the interval kernel, so results enclose the exact values for
+every member matrix.
 """
 
 from __future__ import annotations
@@ -111,16 +111,18 @@ class IMatrix:
         return IMatrix(list(zip(*self.rows)))
 
     def __matmul__(self, other):
+        rows = self.rows
         if isinstance(other, Box):
-            if self.ncols != other.dim:
+            x = other.coords
+            if len(rows[0]) != len(x):
                 raise IntervalError("matrix/vector dimension mismatch")
-            return unchecked_box(tuple(_dot(row, other.coords) for row in self.rows))
+            return unchecked_box(tuple([_dot(row, x) for row in rows]))
         if isinstance(other, IMatrix):
-            if self.ncols != other.nrows:
+            if len(rows[0]) != len(other.rows):
                 raise IntervalError("matrix dimension mismatch")
             cols = tuple(zip(*other.rows))
             return unchecked_matrix(
-                tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
+                tuple([tuple([_dot(row, col) for col in cols]) for row in rows])
             )
         return NotImplemented
 
@@ -138,34 +140,16 @@ class IMatrix:
         )
 
 
-def _dot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
-
-
-def nonzero_entries(rows) -> tuple:
-    """Per row, the (index, entry) pairs whose entry is not the point 0.
-
-    Dropping a point-zero term from a sum of products is exact, since 0*x = 0
-    for finite x, so `sparse_dot` over these pairs still encloses every
-    product.  `sparse_dot` needs a nonzero entry in every row, as the rows
-    and columns of an invertible matrix have.
-    """
-    return tuple(
-        tuple((j, e) for j, e in enumerate(row) if e.lo != 0.0 or e.hi != 0.0)
-        for row in rows
-    )
-
-
-def sparse_dot(pairs, v) -> Interval:
-    """sum_j m * v[j] over the (j, m) pairs of `nonzero_entries`, in order."""
-    j, m = pairs[0]
-    acc = m * v[j]
-    for j, m in pairs[1:]:
-        acc = acc + m * v[j]
-    return acc
+def _dot(u, v) -> Interval:
+    """sum_k u[k] * v[k], in order, over the terms with neither factor the
+    point 0; the point 0 when no term is left.  A dropped term is exactly 0,
+    since 0*x = 0 for finite x, so the sum still encloses every product, and
+    no exact zero widens it.  Every `IMatrix @` product takes this rule."""
+    acc = None
+    for a, b in zip(u, v):
+        if not (a.lo == a.hi == 0.0 or b.lo == b.hi == 0.0):
+            acc = a * b if acc is None else acc + a * b
+    return _ZERO if acc is None else acc
 
 
 def det(A: IMatrix) -> Interval:

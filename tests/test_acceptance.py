@@ -2,9 +2,14 @@
 
 Criterion 1 runs the covering checks at the shipped grids, a 20^3 body grid
 and 10x10 exit faces, and requires all four relations certified there.
+Criterion 9 pins the shipped proof's decisions at those grids: the cells
+each test certifies in every certificate, and the boxes each check's
+predicate evaluates.  So "the same proof" is a test, not a claim.
 """
 
 import json
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from henoncert import (
     make_paper_hsets,
     verify_covering,
 )
+from henoncert import covering, hyperbolicity
 from henoncert.cli import main
 from henoncert.drivers import run_all, run_hyperbolicity, run_symbolic
 from henoncert.hsets import HSET_A_DEFINITION, HSet, save_hsets
@@ -38,13 +44,38 @@ def _report_line(n, ok, text):
 
 
 @pytest.fixture(scope="module")
-def covering_certs():
-    return run_symbolic(body_grid=PAPER_BODY, face_grid=PAPER_FACE)
+def evaluated():
+    """Boxes evaluated by each check's predicate, by the predicate's name,
+    over the two shipped runs below."""
+    return Counter()
+
+
+@contextmanager
+def _counted(check_module, evaluated):
+    """A context in which `check_module.sweep` counts each box it evaluates."""
+    sweep = check_module.sweep
+
+    def counting(X, grid, predicate, cap):
+        def counted(box):
+            evaluated[predicate.__name__] += 1
+            return predicate(box)
+        return sweep(X, grid, counted, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(check_module, "sweep", counting)
+        yield
 
 
 @pytest.fixture(scope="module")
-def hyp_cert():
-    return run_hyperbolicity(grid=PAPER_HYP)
+def covering_certs(evaluated):
+    with _counted(covering, evaluated):
+        return run_symbolic(body_grid=PAPER_BODY, face_grid=PAPER_FACE)
+
+
+@pytest.fixture(scope="module")
+def hyp_cert(evaluated):
+    with _counted(hyperbolicity, evaluated):
+        return run_hyperbolicity(grid=PAPER_HYP)
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +344,30 @@ def test_criterion_8_determinism(tmp_path):
 
     ok = one_run() == one_run()
     _report_line(8, ok, "repeated runs are byte-identical modulo timing fields")
+
+
+# The shipped proof's decisions at the shipped grids: per chart pair, condition
+# I's cells outside_unstable and inside_stable, and the cone check's cells
+# skipped_disjoint and positive_definite; and the boxes evaluated per check.
+PINNED_CONDITION_I = {"aa": (5884, 2116), "ab": (5830, 2170),
+                      "ba": (5000, 3000), "bb": (4000, 4000)}
+PINNED_CONE = {"aa": (11041, 4584), "ab": (11110, 4515),
+               "ba": (10537, 5088), "bb": (9433, 6192)}
+PINNED_EVALUATED = {"body": 324, "exits": 40, "skip_or_pd": 350}
+
+
+def test_criterion_9_shipped_decisions_pinned(covering_certs, hyp_cert, evaluated):
+    condition_I = {c.source + c.target: (c.condition_I.outside_unstable,
+                                         c.condition_I.inside_stable)
+                   for c in covering_certs}
+    faces = [f["checked"] for c in covering_certs for f in c.condition_II.faces]
+    cone = {o.label: (o.skipped_disjoint, o.positive_definite)
+            for o in hyp_cert.outcomes}
+    ok = (condition_I == PINNED_CONDITION_I and faces == [100] * 16
+          and cone == PINNED_CONE and dict(evaluated) == PINNED_EVALUATED)
+    _report_line(
+        9,
+        ok,
+        f"shipped decisions: condition I {condition_I}, cone {cone}, "
+        f"boxes evaluated {dict(evaluated)}",
+    )

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from math import prod
 
@@ -88,6 +89,20 @@ class TestConditionI:
         assert out.failed == len(full.failures) > len(out.failures) == 10
         assert out.failures == full.failures[:10]
 
+    def test_closed_boundary_is_refused(self):
+        # an unstable coordinate with mig exactly 1 touches the cube, and a
+        # stable one with mag exactly 1 reaches its boundary: neither passes
+        stays = Interval(0.0, 0.5)
+        assert _body_accepts(Box([Interval(1.0, 2.0), stays, Interval(2.0, 3.0)]), 2) is None
+        assert _body_accepts(Box([stays, Interval(-2.0, -1.0), Interval(2.0, 3.0)]), 2) is None
+        assert _body_accepts(Box([stays, stays, Interval(-1.0, 0.5)]), 2) is None
+        # just past the boundary, each disjunct passes
+        past, short = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+        assert _body_accepts(Box([Interval(past, 2.0), stays, Interval(2.0, 3.0)]),
+                             2) == "outside_unstable"
+        assert _body_accepts(Box([stays, stays, Interval(-short, 0.5)]),
+                             2) == "inside_stable"
+
     def test_no_entry_directions(self):
         # u=3, s=0: the stable test is vacuous and reads no coordinate past u
         N = unit_hset(u=3, s=0)
@@ -114,6 +129,20 @@ class TestConditionII:
         assert out.failed == len(full.failures) == 4 * 9
         assert out.failures == full.failures[:10]
         assert out.faces == full.faces
+
+
+    def test_image_touching_the_cube_is_refused(self):
+        # scaling by 1 + 3 * 2**-52 maps each exit face to an image whose
+        # unstable coordinate, after the charts' rounding, has mig exactly 1;
+        # the linear image, by 2, lies outside, so the hull's mig is exactly 1
+        f = on_unit_chart(LinearMap.scaling(1.0000000000000007, 1.0000000000000007, 0.5))
+        for axis, sign in exit_faces(2):
+            face = [Interval(-1.0, 1.0)] * 3
+            face[axis] = Interval(sign, sign)
+            assert f.eval(Box(face))[axis].mig() == 1.0
+        A = IMatrix.from_floats([[2.0, 0.0], [0.0, 2.0]])
+        out = check_condition_II(f, A, FACE, CAP)
+        assert not out.passed and out.failed == 4 * 9
 
 
 class TestExitFaces:

@@ -9,7 +9,7 @@ from henoncert import (Box, HSet, IMatrix, Interval, SingularMatrixError,
 from henoncert.hsets import (HSET_A_DEFINITION, HSET_B_DEFINITION, hset_family,
                              load_hsets, save_hsets)
 from henoncert.intervals import IntervalError
-from test_henon import _dyadic_point, _inverse_exact
+from test_henon import _dyadic_point, _inverse_exact, dense_product
 from test_hyperbolicity import _width
 
 DEFINITIONS = {"a": HSET_A_DEFINITION, "b": HSET_B_DEFINITION}
@@ -68,8 +68,9 @@ class TestPaperHSets:
 
 
 class TestExactCharts:
-    """The exact-rational chart inverse and the sparse chart maps, against
-    exact rational oracles and the dense interval products they replace."""
+    """The exact-rational chart inverse and the chart products, which drop
+    point-zero terms, against exact rational oracles and the dense interval
+    products that multiply every exact 0 and 1."""
 
     def test_inverse_is_tightest_enclosure(self, paper_hsets):
         for name, h in paper_hsets.items():
@@ -99,39 +100,35 @@ class TestExactCharts:
                 for iv, e in zip(L, local_exact(c, Minv, w)):
                     assert _exact_in(iv, e)
 
-    # The kernel's sum is not inclusion-monotone (see TestDenseReference), so
-    # a sparse bound can round one ulp past the dense one that summed an extra
-    # [-5e-324, 5e-324]; on the whole the sparse products are narrower.
-
-    def test_sparse_within_dense_products(self, paper_hsets, rng):
-        widths = {"sparse": 0.0, "dense": 0.0}
+    def test_chart_maps_within_dense_products(self, paper_hsets, rng):
+        widths = {"chart": 0.0, "dense": 0.0}
         for h in paper_hsets.values():
             for _ in range(100):
                 lo = rng.uniform(-1, 0.8, size=3)
                 X = Box([Interval(v, v + rng.uniform(0, 0.2)) for v in lo])
-                for sparse, dense in [
-                    (h.world_from_local(X), h.center + (h.basis @ X)),
-                    (h.local_from_world(X), h.basis_inv @ (X - h.center)),
+                for chart, dense in [
+                    (h.world_from_local(X), h.center + dense_product(h.basis, X)),
+                    (h.local_from_world(X), dense_product(h.basis_inv, X - h.center)),
                 ]:
-                    outer, inner = IMatrix([dense.coords]), IMatrix([sparse.coords])
+                    outer, inner = IMatrix([dense.coords]), IMatrix([chart.coords])
                     assert outer.contains(inner)
-                    widths["sparse"] += _width(inner)
+                    widths["chart"] += _width(inner)
                     widths["dense"] += _width(outer)
-        assert widths["sparse"] < widths["dense"]
+        assert widths["chart"] < widths["dense"]
 
-    def test_sparse_jacobian_products_within_dense(self, paper_hsets, h4, rng):
-        widths = {"sparse": 0.0, "dense": 0.0}
+    def test_jacobian_chart_products_within_dense(self, paper_hsets, h4, rng):
+        widths = {"chart": 0.0, "dense": 0.0}
         for h in paper_hsets.values():
             f = h4.conjugated(h, h)
             for _ in range(20):
                 lo = rng.uniform(-1, 0.8, size=3)
                 J = f.jacobian(Box([Interval(v, v + 0.2) for v in lo]))
-                for sparse, dense in [(h.times_basis(J), J @ h.basis),
-                                      (h.inverse_times(J), h.basis_inv @ J)]:
-                    assert dense.contains(sparse)
-                    widths["sparse"] += _width(sparse)
+                for chart, dense in [(J @ h.basis, dense_product(J, h.basis)),
+                                     (h.basis_inv @ J, dense_product(h.basis_inv, J))]:
+                    assert dense.contains(chart)
+                    widths["chart"] += _width(chart)
                     widths["dense"] += _width(dense)
-        assert widths["sparse"] < widths["dense"]
+        assert widths["chart"] < widths["dense"]
 
 
 class TestChartMaps:
@@ -169,12 +166,17 @@ class TestConstructionErrors:
         a, _ = make_paper_hsets()
         wide = IMatrix([list(r) + [r[0]] for r in a.basis.rows])  # 3x4
         with pytest.raises(IntervalError):
-            a.times_basis(wide)
+            wide @ a.basis
         with pytest.raises(IntervalError):
-            a.inverse_times(wide.transpose())
+            a.basis_inv @ wide.transpose()
+        for dim in (2, 4):
+            with pytest.raises(IntervalError):
+                a.world_from_local(Box.cube(-1.0, 1.0, dim))
+            with pytest.raises(IntervalError):
+                a.local_from_world(Box.cube(-1.0, 1.0, dim))
         # only the inner dimension must match the chart
-        assert a.times_basis(IMatrix(a.basis.rows[:2])).nrows == 2
-        assert a.inverse_times(IMatrix([r[:2] for r in a.basis.rows])).ncols == 2
+        assert (IMatrix(a.basis.rows[:2]) @ a.basis).nrows == 2
+        assert (a.basis_inv @ IMatrix([r[:2] for r in a.basis.rows])).ncols == 2
 
     def test_inverse_out_of_double_range(self):
         with pytest.raises(IntervalError, match="^h-set 'bad': basis inverse: "):

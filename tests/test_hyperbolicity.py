@@ -20,6 +20,7 @@ from henoncert.hsets import HSET_A_DEFINITION, HSET_B_DEFINITION, HSet
 from henoncert.hyperbolicity import CONE_SCALES
 from henoncert.intervals import Interval, IntervalError
 from henoncert.linalg import subdivide_box
+from test_henon import dense_product
 
 
 def _toy(base):
@@ -200,8 +201,8 @@ class TestDenseReference:
     def _dense_jacobian(f, orbit):
         J = f.base.jacobian_box(orbit[0])
         for w in orbit[1:-1]:
-            J = f.base.jacobian_box(w) @ J
-        return f.chart_post.basis_inv @ (J @ f.chart_pre.basis)
+            J = dense_product(f.base.jacobian_box(w), J)
+        return dense_product(f.chart_post.basis_inv, dense_product(J, f.chart_pre.basis))
 
     def test_jacobian_within_dense_chain(self, paper_hsets, h4):
         for f in paper_map_pairs(h4, paper_hsets).values():
@@ -222,7 +223,7 @@ class TestDenseReference:
             for Bi in subdivide_box(Box.cube(-1, 1, 3), self.GRID):
                 for Df in (f.jacobian(Bi), f.jacobian_from_source(Bi)):
                     S = cone_matrix(Df, Q)
-                    dense = Df.transpose() @ Q @ Df - Q
+                    dense = dense_product(dense_product(Df.transpose(), Q), Df) - Q
                     assert dense.contains(S) and _width(S) < _width(dense)
                     assert S == S.transpose()
 

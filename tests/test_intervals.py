@@ -130,6 +130,12 @@ class TestSetOps:
         assert I(0, 1).intersect(I(2, 3)) is None
         assert I(0, 1).is_disjoint(I(2, 3))
 
+    def test_touching_intervals_are_not_disjoint(self):
+        # they share the endpoint 1, in either argument order
+        assert not I(0, 1).is_disjoint(I(1, 2))
+        assert not I(1, 2).is_disjoint(I(0, 1))
+        assert I(0, 1).intersect(I(1, 2)) == I(1, 1)
+
     def test_intersect_overlap(self):
         assert I(0, 2).intersect(I(1, 3)) == I(1, 2)
 
@@ -245,6 +251,13 @@ class TestBox:
         shifted = Box([I(3, 4), I(-1, 1), I(-1, 1)])
         assert u.is_disjoint(shifted)
         assert not u.is_disjoint(Box.cube(0.5, 2, 3))
+
+    def test_touching_boxes_are_not_disjoint(self):
+        # the unit cube and a box that meets it only on the face x = 1
+        u = Box.cube(-1, 1, 3)
+        touching = Box([I(1, 2), I(-3, 0), I(0.5, 4)])
+        assert not u.is_disjoint(touching)
+        assert not touching.is_disjoint(u)
 
     def test_contains(self):
         u = Box.cube(-1, 1, 3)

@@ -477,6 +477,24 @@ def test_leading_minors_of_a_non_square_matrix_raise_as_reference():
     assert _outcome(ref_leading_minor_lower_bounds, M)[0] is IntervalError
 
 
+def test_double_rounding_probe_holds():
+    """The import guard's sum 1 + (2**-53 + 2**-64), its operand made from a
+    decimal string, rounds once to 1 + 2**-52.  Rounded first to a 64-bit
+    significand (x87 extended precision), it would tie to 1 + 2**-53, and
+    then, as a tie to even, to 1."""
+    past_half_ulp = float("1.1107651257113993e-16")
+    exact = 1 + Fraction(1, 2**53) + Fraction(1, 2**64)
+    assert Fraction(past_half_ulp) == exact - 1
+
+    def rounded(x, bits):  # to nearest, ties to even, on [1, 2)
+        return Fraction(round(x * 2**(bits - 1)), 2**(bits - 1))
+
+    assert rounded(exact, 53) == 1 + Fraction(1, 2**52)
+    assert rounded(rounded(exact, 64), 53) == 1
+    assert float("1") + past_half_ulp == 1 + 2.0**-52
+    henoncert.intervals._require_round_to_nearest()
+
+
 _UPWARD_IMPORT = """
 import ctypes
 import sys

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,23 @@ class TestMatOps:
     def test_q_transpose_symmetry(self):
         Q = IMatrix.diagonal([1.0, 1.0, -1.0])
         assert Q.transpose() == Q
+
+    def test_products_drop_point_zero_terms(self):
+        # a term with a point-zero factor (0 or -0) is exactly 0 and dropped;
+        # where no term is left the entry is the point +0
+        p, q = Interval(0.5, 0.75), Interval(1.25, 1.5)
+        zero, nzero = Interval(0.0, 0.0), Interval(-0.0, -0.0)
+        A = IMatrix([[p, zero, q], [nzero, zero, p]])
+        X = Box([Interval(2.0, 3.0), Interval(-1.0, 1.0), nzero])
+        Y = A @ X
+        assert Y[0] == p * X[0]
+        assert (Y[1].lo, Y[1].hi) == (0.0, 0.0)
+        assert math.copysign(1.0, Y[1].lo) == math.copysign(1.0, Y[1].hi) == 1.0
+        # the sum that keeps the zero terms encloses it, and is wider
+        kept = p * X[0] + zero * X[1] + q * X[2]
+        assert Y[0].subset_of(kept) and Y[0].width() < kept.width()
+        # a matrix product takes the same rule, column by column
+        assert (A @ IMatrix([[c] for c in X])).rows == tuple((y,) for y in Y)
 
     def test_shape_mismatch(self):
         with pytest.raises(IntervalError):
@@ -116,6 +134,11 @@ class TestSylvester:
 
     def test_zero_matrix(self):
         assert not is_positive_definite(IMatrix.from_floats([[0, 0], [0, 0]]))
+
+    def test_minor_with_lower_bound_zero_is_refused(self):
+        # the member [[0]] is not positive definite: a lower bound of exactly
+        # 0 must not pass
+        assert not is_positive_definite(IMatrix([[Interval(0.0, 1.0)]]))
 
     def test_soundness_against_eigenvalue_oracle(self, rng):
         # whenever Sylvester says PD, every symmetric member must have
